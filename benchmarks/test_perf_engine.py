@@ -16,6 +16,9 @@ from PR to PR:
   the engine (lockstep multi-session core: batched cross-session planner,
   SoA player stepping, memoised candidate trees, precomputed sessions),
   measured back to back in the same process;
+* **process_speedup_vs_auto** — the opt-in process backend (a persistent
+  pool) on the same grid, against the auto backend's time: recorded side
+  by side so the pool has to earn its keep in a same-run ratio;
 * **sessions/sec** — engine-path streaming sessions per second;
 * **decisions/sec** — planner decisions per second per ABR family;
 * **rl_grid** — the same same-host serial-vs-lockstep ratio for
@@ -188,6 +191,22 @@ def test_grid_speedup_vs_seed(context, bench_report):
             serial_engine_seconds, time.perf_counter() - t0
         )
 
+    # The opt-in process backend on the same grid, side by side with the
+    # auto backend: a persistent pool, spawned and warmed outside the
+    # timed region.  (On a 1-core host ``run_orders`` keeps it in process,
+    # so the ratio only says something about pools on >= 2 cores.)
+    process_runner = BatchRunner(backend="process", persistent=True)
+    process_seconds = float("inf")
+    try:
+        process_scores = _evaluate_grid(context, runner=process_runner)
+        for _ in range(MEASUREMENT_ATTEMPTS):
+            t0 = time.perf_counter()
+            _evaluate_grid(context, runner=process_runner)
+            process_seconds = min(process_seconds, time.perf_counter() - t0)
+    finally:
+        process_runner.close()
+    assert process_scores == engine_scores
+
     speedup = seed_seconds / engine_seconds
     speedup_vs_serial = serial_engine_seconds / engine_seconds
     speedup_vs_serial_telemetry = serial_engine_seconds / telemetry_seconds
@@ -205,6 +224,9 @@ def test_grid_speedup_vs_seed(context, bench_report):
         "seed_seconds": round(seed_seconds, 4),
         "engine_seconds": round(engine_seconds, 4),
         "serial_engine_seconds": round(serial_engine_seconds, 4),
+        "process_seconds": round(process_seconds, 4),
+        # > 1 only where the pool beats the auto backend on this host.
+        "process_speedup_vs_auto": round(engine_seconds / process_seconds, 2),
         "speedup": round(speedup, 2),
         "target_speedup": TARGET_GRID_SPEEDUP,
     }
@@ -234,11 +256,12 @@ def test_grid_speedup_vs_seed(context, bench_report):
     # run; a bench number produced through retries/rebuilds is flagged so
     # a regression hunt never chases wall-clock a crash recovery ate.
     bench_report.fault_log = BatchRunner.merge_fault_logs(
-        runner, serial_runner
+        runner, serial_runner, process_runner
     )
     print(
-        f"\ngrid: serial engine {serial_engine_seconds:.2f}s -> lockstep "
-        f"{engine_seconds:.2f}s ({speedup_vs_serial:.2f}x same-host, primary); "
+        f"\ngrid: serial engine {serial_engine_seconds:.2f}s -> "
+        f"{runner.backend} {engine_seconds:.2f}s ({speedup_vs_serial:.2f}x "
+        f"same-host, primary), process {process_seconds:.2f}s; "
         f"seed {seed_seconds:.2f}s ({speedup:.1f}x, {cells} cells, "
         f"backend={runner.backend}, telemetry {telemetry_seconds:.2f}s "
         f"({telemetry_overhead:.3f}x), plan cache "

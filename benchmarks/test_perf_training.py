@@ -1,22 +1,18 @@
 """Perf harness for the RL training subsystem.
 
 Measures experience-collection throughput — episodes/sec and decisions/sec
-through the rollout collector — on the serial backend and on the parallel
-backend :meth:`BatchRunner.auto` selects for this host, and writes the
+through the rollout collector — on every backend side by side (serial,
+lockstep, and a process pool with *persistent* workers, spawned once and
+reused across collection rounds), keyed by backend name, and writes the
 numbers to ``BENCH_training.json`` at the repo root so the
 training-throughput trajectory is tracked from PR to PR (the companion of
-``BENCH_engine.json`` for the simulation engine).
+``BENCH_engine.json`` for the simulation engine).  ``auto_backend`` records
+which of them :meth:`BatchRunner.auto` resolves to, and
+``process_speedup`` the pool's same-run ratio over serial collection (on
+a single-core host a pool can only lose; the ratio is recorded as
+measured and gated, like the auto backend's, only on multi-core hosts).
 
-On a multi-core host the parallel backend is a process pool with a
-*persistent* worker pool (spawned once, reused across collection rounds)
-and ``process_speedup`` records the pool's gain over serial collection.  A
-single-core host cannot gain from a pool at all — the previous harness
-recorded that as an apparent 0.73x regression — so there the runner falls
-back to in-process execution and the report says so explicitly
-(``parallel_backend_effective``) instead of reporting a slowdown.
-
-The ``lockstep_collection`` section tracks the in-process alternative
-that *does* gain on any host: routing collection through the lockstep
+The ``lockstep_collection`` section tracks the default path: the lockstep
 engine's batched RL driver (one stacked actor forward per decision round
 across the whole round's episodes, per-spec exploration seeds).  Its
 ``speedup_vs_serial`` is a same-run ratio over byte-identical experience.
@@ -91,20 +87,23 @@ def test_collection_throughput_serial_vs_parallel(training_setup):
     specs = curriculum.training_specs(EPISODES, round_index=0)
     cores = os.cpu_count() or 1
 
-    parallel = BatchRunner.auto()
-    if parallel.backend == "process":
+    # Every backend side by side, keyed by name; ``auto_backend`` says
+    # which of them ``BatchRunner.auto()`` resolves to on this host.
+    runners = {
+        "serial": BatchRunner(backend="serial"),
+        "lockstep": BatchRunner(backend="lockstep"),
         # Persistent workers: training pays pool spawn once per run, not
         # once per collection round.
-        parallel = BatchRunner(
+        "process": BatchRunner(
             backend="process", max_workers=cores, chunksize=1, persistent=True
-        )
-    backends = {"serial": BatchRunner(backend="serial"), "process": parallel}
-
+        ),
+    }
     rates = {}
     decisions = {}
+    seconds = {}
     reference = None
     try:
-        for name, runner in backends.items():
+        for name, runner in runners.items():
             collector = RolloutCollector(runner=runner, shard_size=4)
             # Warms the session precompute / plan caches and, for a
             # persistent pool, the worker processes themselves.
@@ -116,69 +115,43 @@ def test_collection_throughput_serial_vs_parallel(training_setup):
                 rollouts = collector.collect(abr, specs)
                 best = min(best, time.perf_counter() - t0)
             steps = sum(rollout.num_steps for rollout in rollouts)
+            seconds[name] = best
             rates[name] = round(len(rollouts) / best, 2)
             decisions[name] = round(steps / best, 1)
             print(
-                f"\n{name} ({runner.backend}): {len(rollouts)} episodes in "
-                f"{best:.2f}s ({rates[name]:.1f} episodes/s, "
+                f"\n{name}: {len(rollouts)} episodes in {best:.2f}s "
+                f"({rates[name]:.1f} episodes/s, "
                 f"{decisions[name]:.0f} decisions/s)"
             )
-            # Whatever the backend, the experience must be identical.
+            # Byte-identical experience is the precondition for any of
+            # the ratios to mean anything: same actions on every backend.
             actions = [rollout.actions.tolist() for rollout in rollouts]
             if reference is None:
                 reference = actions
             else:
-                assert actions == reference
+                assert actions == reference, name
     finally:
-        parallel.close()
+        runners["process"].close()
 
     speedup = round(rates["process"] / rates["serial"], 2)
-    effective = (
-        "process pool (persistent workers)"
-        if parallel.backend == "process"
-        else f"{parallel.backend} (single-core fallback: a pool cannot beat "
-        "in-process execution on 1 core)"
-    )
-    if parallel.backend != "process":
-        # The auto backend is now the lockstep batched RL driver, whose
-        # real gain is measured (and floored) in the dedicated
-        # ``lockstep_collection`` section; the legacy process_speedup
-        # field stays a pure-noise 1.0 on such hosts.
-        speedup = 1.0
-
-    # Lockstep collection: same specs, same snapshot discipline, one
-    # in-process batched driver — recorded as its own section with a
-    # same-run speedup over serial collection.
-    lockstep_runner = BatchRunner(backend="lockstep")
-    lockstep_collector = RolloutCollector(runner=lockstep_runner, shard_size=4)
-    lockstep_collector.collect(abr, specs[:2])  # warm caches
-    lockstep_best = float("inf")
-    lockstep_rollouts = None
-    for _ in range(MEASUREMENT_ATTEMPTS):
-        t0 = time.perf_counter()
-        lockstep_rollouts = lockstep_collector.collect(abr, specs)
-        lockstep_best = min(lockstep_best, time.perf_counter() - t0)
-    lockstep_steps = sum(r.num_steps for r in lockstep_rollouts)
-    # Byte-identical experience is the precondition for the speedup to
-    # mean anything: same actions, same states, same rewards as serial.
-    assert [r.actions.tolist() for r in lockstep_rollouts] == reference
+    auto_backend = BatchRunner.auto().backend
+    # The lockstep collector: one in-process batched RL driver (one
+    # stacked actor forward per decision round across the whole round's
+    # episodes), as its own section with a same-run speedup over serial.
     lockstep_section = {
         "episodes": EPISODES,
-        "episodes_per_sec": round(len(lockstep_rollouts) / lockstep_best, 2),
-        "decisions_per_sec": round(lockstep_steps / lockstep_best, 1),
-        "serial_seconds": round(EPISODES / rates["serial"], 4),
-        "lockstep_seconds": round(lockstep_best, 4),
-        "speedup_vs_serial": round(
-            (EPISODES / rates["serial"]) / lockstep_best, 2
-        ),
+        "episodes_per_sec": rates["lockstep"],
+        "decisions_per_sec": decisions["lockstep"],
+        "serial_seconds": round(seconds["serial"], 4),
+        "lockstep_seconds": round(seconds["lockstep"], 4),
+        "speedup_vs_serial": round(seconds["serial"] / seconds["lockstep"], 2),
         "experience_identical": True,
         "min_speedup": MIN_LOCKSTEP_COLLECTION_SPEEDUP,
     }
     print(
-        f"\nlockstep collection: {len(lockstep_rollouts)} episodes in "
-        f"{lockstep_best:.2f}s "
-        f"({lockstep_section['episodes_per_sec']:.1f} episodes/s, "
-        f"{lockstep_section['speedup_vs_serial']:.2f}x vs serial)"
+        f"\nlockstep collection: "
+        f"{lockstep_section['speedup_vs_serial']:.2f}x vs serial; "
+        f"process pool {speedup:.2f}x vs serial on {cores} core(s)"
     )
 
     payload = {
@@ -187,7 +160,7 @@ def test_collection_throughput_serial_vs_parallel(training_setup):
         "episodes_per_sec": rates,
         "decisions_per_sec": decisions,
         "process_speedup": speedup,
-        "parallel_backend_effective": effective,
+        "auto_backend": auto_backend,
         "lockstep_collection": lockstep_section,
         "meta": environment_fingerprint(),
     }
@@ -203,9 +176,11 @@ def test_collection_throughput_serial_vs_parallel(training_setup):
             >= MIN_LOCKSTEP_COLLECTION_SPEEDUP
         )
     if cores > 1:
-        # The regression this harness exists to catch: on multi-core hosts
-        # the pool must not be meaningfully slower than serial collection.
-        # The floor sits below the 1.0 goal (recorded above) so scheduler
-        # noise on a loaded host cannot turn a healthy pool into a red
-        # suite — the same floor-vs-target split the engine harness uses.
+        # The regressions this harness exists to catch: on multi-core hosts
+        # neither the pool nor the backend ``auto()`` picks may be
+        # meaningfully slower than serial collection.  The floor sits below
+        # the 1.0 goal so scheduler noise on a loaded host cannot turn a
+        # healthy backend into a red suite — the same floor-vs-target split
+        # the engine harness uses.
         assert speedup >= 0.9
+        assert rates[auto_backend] / rates["serial"] >= 0.9

@@ -26,9 +26,10 @@ Two engine-level optimisations keep trace-scale experiments fast:
   sessions to the stack cannot change any session's floating-point result:
   the lockstep engine's bit-identity guarantee rests on this.
 * the batch kernel itself runs over a precomputed per-tree **score arena**
-  (:class:`_TreeArena`): gather indices, switch-term rows and preallocated
-  workspaces are derived once per (candidate tree, ladder) pair and reused
-  by every call, so a batch score is a single pass of in-place elementwise
+  (:class:`_TreeArena`): gather indices and switch-term rows are derived
+  once per (candidate tree, ladder) pair, and preallocated workspaces once
+  per buffer geometry (a byte-bounded process-wide LRU), and reused by
+  every call, so a batch score is a single pass of in-place elementwise
   ops over contiguous buffers with no per-call temporaries.  The pre-arena
   kernel is retained as the ``legacy`` implementation
   (``REPRO_KERNEL_IMPL=legacy`` / ``kernel_impl="legacy"``) — the arena
@@ -170,14 +171,12 @@ def clear_plan_cache() -> None:
     """Drop all memoised candidate trees (tests and benchmarks).
 
     Also drops the derived per-matrix caches (prefix trees, switch-term
-    constants): they hold strong references to the candidate matrices, so
-    leaving them behind would pin every superseded tree in memory across
-    clear/replan cycles.
+    constants, arenas) and the arena workspaces: the per-matrix caches hold
+    strong references to the candidate matrices, so leaving them behind
+    would pin every superseded tree in memory across clear/replan cycles.
     """
     _cached_level_sequences.cache_clear()
-    _PREFIX_TREES.clear()
-    _SWITCH_TERMS.clear()
-    _ARENAS.clear()
+    clear_prefix_tree_cache()
 
 
 def plan_cache_info():
@@ -557,18 +556,22 @@ def _switch_constants(candidates: np.ndarray, bitrates: np.ndarray):
 
 
 def clear_prefix_tree_cache() -> None:
-    """Drop memoised prefix trees, switch constants and score arenas."""
+    """Drop memoised prefix trees, switch constants, arenas and workspaces."""
     _PREFIX_TREES.clear()
     _SWITCH_TERMS.clear()
     _ARENAS.clear()
+    _WORKSPACES.clear()
+    _WORKSPACE_STATS["bytes"] = 0
 
 
 class _ArenaWorkspace:
     """Preallocated per-(batch-shape, dtype) buffers for the arena kernel.
 
     Every array the kernel writes lives here, sized once and reused by every
-    call with the same ``(num_sessions, num_scenarios, dtype)`` — the arena
-    path performs no per-call array allocation on its hot path.
+    call with the same buffer geometry (see :func:`_arena_workspace`) — the
+    arena path performs no per-call array allocation on its hot path.  Each
+    call writes every element it reads before reading it, so a workspace
+    carries no state from one call to the next.
     """
 
     __slots__ = (
@@ -577,47 +580,59 @@ class _ArenaWorkspace:
         "dt_nodes", "shortfall", "expected", "partial", "rates",
     )
 
-    def __init__(self, arena: "_TreeArena", num_sessions: int,
-                 num_scenarios: int, width: int, dtype) -> None:
+    @staticmethod
+    def layout(arena: "_TreeArena", num_sessions: int, num_scenarios: int,
+               width: int):
+        """``(name, shape)`` of every buffer :meth:`__init__` allocates; a
+        list of shapes under one name becomes a list of arrays."""
         C, h = arena.C, arena.h
         N, S = num_sessions, num_scenarios
-        self.dt_all = np.empty((N, S, h * width), dtype=dtype)
-        self.cq = np.empty((N, h, C), dtype=dtype)
-        self.first_switch = np.empty((N, C), dtype=dtype)
-        self.quality_dot = np.empty((N, C), dtype=dtype)
-        self.switch_dot = np.empty((N, C), dtype=dtype)
-        self.static = np.empty((N, C), dtype=dtype)
-        self.weight_total = np.empty(N, dtype=dtype)
-        self.step_product = np.empty((N, C), dtype=dtype)
-        self.states = [
-            np.empty((2, N, S, levels.size), dtype=dtype)
-            for levels in arena.node_levels
-        ]
-        # every step's dt nodes in one contiguous buffer filled by a single
-        # gather; per-step slices are views delimited by the arena offsets
-        self.dt_flat = np.empty((N, S, arena.flat_levels.size), dtype=dtype)
+        nodes = [int(levels.size) for levels in arena.node_levels]
+        return (
+            ("dt_all", (N, S, h * width)),
+            ("cq", (N, h, C)),
+            ("first_switch", (N, C)),
+            ("quality_dot", (N, C)),
+            ("switch_dot", (N, C)),
+            ("static", (N, C)),
+            ("weight_total", (N,)),
+            ("step_product", (N, C)),
+            ("states", [(2, N, S, size) for size in nodes]),
+            # every step's dt nodes in one contiguous buffer filled by a
+            # single gather; per-step slices are views delimited by the
+            # arena offsets (``dt_nodes``, no bytes of their own)
+            ("dt_flat", (N, S, arena.flat_levels.size)),
+            ("shortfall", [(N, S, size) for size in nodes]),
+            ("expected", (N, C)),
+            ("partial", (N, C)),
+            ("rates", (N, S)),
+        )
+
+    @classmethod
+    def size_bytes(cls, arena: "_TreeArena", num_sessions: int,
+                   num_scenarios: int, width: int, dtype) -> int:
+        """Bytes :meth:`__init__` allocates for this geometry (known up
+        front, so the cache can make room before allocating)."""
+        elements = 0
+        for _, shapes in cls.layout(arena, num_sessions, num_scenarios, width):
+            for shape in shapes if isinstance(shapes, list) else [shapes]:
+                elements += int(np.prod(shape))
+        return elements * np.dtype(dtype).itemsize
+
+    def __init__(self, arena: "_TreeArena", num_sessions: int,
+                 num_scenarios: int, width: int, dtype) -> None:
+        for name, shapes in self.layout(arena, num_sessions, num_scenarios,
+                                        width):
+            if isinstance(shapes, list):
+                setattr(self, name, [np.empty(shape, dtype=dtype)
+                                     for shape in shapes])
+            else:
+                setattr(self, name, np.empty(shapes, dtype=dtype))
         off = arena.node_offsets
         self.dt_nodes = [
             self.dt_flat[:, :, off[k]:off[k + 1]]
             for k in range(len(arena.node_levels))
         ]
-        self.shortfall = [
-            np.empty((N, S, levels.size), dtype=dtype)
-            for levels in arena.node_levels
-        ]
-        self.expected = np.empty((N, C), dtype=dtype)
-        self.partial = np.empty((N, C), dtype=dtype)
-        self.rates = np.empty((N, S), dtype=dtype)
-
-    def nbytes(self) -> int:
-        total = 0
-        for name in self.__slots__:
-            value = getattr(self, name)
-            if isinstance(value, np.ndarray):
-                total += value.nbytes
-            elif name != "dt_nodes":  # views into dt_flat, already counted
-                total += sum(a.nbytes for a in value)
-        return total
 
 
 class _TreeArena:
@@ -636,7 +651,9 @@ class _TreeArena:
       *entire* accumulated switch dot — collapses to one of L precomputed
       rows (built with the kernel's exact elementwise op sequence, so the
       gathered rows are bit-identical to computing them in the call);
-    * per-(shape, dtype) workspaces (:class:`_ArenaWorkspace`), LRU-bounded.
+    * ``workspace_shape``, the part of the buffer geometry the tree fixes
+      (the per-call workspaces live in the process-wide
+      :func:`_arena_workspace` cache, not on the arena).
 
     Constants are built in float64 and cast once per requested dtype.
     """
@@ -644,11 +661,9 @@ class _TreeArena:
     __slots__ = (
         "candidates", "C", "h", "L", "node_levels", "node_parents",
         "flat_steps", "flat_levels", "node_offsets", "first_levels",
-        "build_seconds", "_consts", "_scaled_rows", "_workspaces",
-        "_gather_idx",
+        "build_seconds", "_consts", "_scaled_rows", "_gather_idx",
+        "workspace_shape",
     )
-
-    WORKSPACE_CAP = 16
 
     def __init__(self, candidates: np.ndarray, bitrates: np.ndarray) -> None:
         t0 = perf_counter()
@@ -663,6 +678,9 @@ class _TreeArena:
         self.flat_levels = tree.flat_levels
         self.node_offsets = list(tree.offsets)
         self.first_levels = candidates[:, 0].copy()
+        self.workspace_shape = (
+            C, h, tuple(int(levels.size) for levels in self.node_levels)
+        )
         # gather indices depend on the per-session matrices' level width,
         # which can exceed L when mixed-ladder sessions share a shard (the
         # engine pads ``sizes``/``quality`` to the widest ladder); cached
@@ -685,7 +703,6 @@ class _TreeArena:
             "float64": (rows, sdot, later_switch_T),
         }
         self._scaled_rows = {}
-        self._workspaces: "OrderedDict" = OrderedDict()
         self.build_seconds = perf_counter() - t0
 
     def gather_indices(self, width: int):
@@ -723,24 +740,44 @@ class _TreeArena:
             self._scaled_rows[key] = rows
         return rows
 
-    def workspace(self, num_sessions: int, num_scenarios: int,
-                  width: int, dtype_name: str) -> _ArenaWorkspace:
-        key = (num_sessions, num_scenarios, width, dtype_name)
-        ws = self._workspaces.get(key)
-        if ws is None:
-            ws = _ArenaWorkspace(
-                self, num_sessions, num_scenarios, width,
-                _KERNEL_DTYPES[dtype_name],
-            )
-            self._workspaces[key] = ws
-            while len(self._workspaces) > self.WORKSPACE_CAP:
-                self._workspaces.popitem(last=False)
-        else:
-            self._workspaces.move_to_end(key)
-        return ws
 
-    def workspace_bytes(self) -> int:
-        return sum(ws.nbytes() for ws in self._workspaces.values())
+#: Process-wide LRU of arena workspaces, keyed by buffer geometry:
+#: ``(arena.workspace_shape, sessions, scenarios, width, dtype)``.  Arenas
+#: over the same candidate tree share workspaces whatever their ladder.
+#: Bounded by bytes, not entries: the ragged tail of a lockstep shard asks
+#: for a new session count almost every round, and a per-shape count cap
+#: let those tails pin tens of megabytes.  The budget is two kernel-call
+#: working sets (the tiling target); a workspace larger than the whole
+#: budget serves its call and is not retained.
+_WORKSPACE_BUDGET_BYTES = 2 * _KERNEL_L2_BYTES
+_WORKSPACES: "OrderedDict" = OrderedDict()
+_WORKSPACE_STATS = {"bytes": 0, "evictions": 0}
+
+
+def _arena_workspace(arena: _TreeArena, num_sessions: int,
+                     num_scenarios: int, width: int,
+                     dtype_name: str) -> _ArenaWorkspace:
+    key = (arena.workspace_shape, num_sessions, num_scenarios, width,
+           dtype_name)
+    entry = _WORKSPACES.get(key)
+    if entry is not None:
+        _WORKSPACES.move_to_end(key)
+        return entry[0]
+    dtype = _KERNEL_DTYPES[dtype_name]
+    nbytes = _ArenaWorkspace.size_bytes(
+        arena, num_sessions, num_scenarios, width, dtype
+    )
+    if nbytes > _WORKSPACE_BUDGET_BYTES:
+        return _ArenaWorkspace(arena, num_sessions, num_scenarios, width, dtype)
+    # evict before allocating: the new buffers can then take the memory
+    # just released instead of growing the heap past it
+    while _WORKSPACE_STATS["bytes"] + nbytes > _WORKSPACE_BUDGET_BYTES:
+        _WORKSPACE_STATS["bytes"] -= _WORKSPACES.popitem(last=False)[1][1]
+        _WORKSPACE_STATS["evictions"] += 1
+    ws = _ArenaWorkspace(arena, num_sessions, num_scenarios, width, dtype)
+    _WORKSPACES[key] = (ws, nbytes)
+    _WORKSPACE_STATS["bytes"] += nbytes
+    return ws
 
 
 _ARENA_BUILDS = {"count": 0, "seconds": 0.0}
@@ -767,13 +804,14 @@ def _publish_arena_stats(registry) -> None:
     registry.gauge("planner.arena.build_seconds").set(
         round(_ARENA_BUILDS["seconds"], 6)
     )
-    registry.gauge("planner.arena.workspaces").set(
-        sum(len(arena._workspaces) for _, arena in _ARENAS.values())
-    )
+    registry.gauge("planner.arena.workspaces").set(len(_WORKSPACES))
     registry.gauge("planner.arena.workspace_bytes").set(
-        sum(arena.workspace_bytes() for _, arena in _ARENAS.values())
+        _WORKSPACE_STATS["bytes"]
     )
     registry.gauge("planner.arena.evictions").set(_CACHE_EVICTIONS["arenas"])
+    registry.gauge("planner.arena.workspace_evictions").set(
+        _WORKSPACE_STATS["evictions"]
+    )
     registry.gauge("planner.arena.switch_term_evictions").set(
         _CACHE_EVICTIONS["switch_terms"]
     )
@@ -1217,7 +1255,8 @@ def _evaluate_batch_arena(
     # sessions share a shard; candidates only ever index the real levels
     width = sizes.shape[2]
     dtype = _KERNEL_DTYPES[dtype_name]
-    ws = arena.workspace(num_sessions, num_scenarios, width, dtype_name)
+    ws = _arena_workspace(arena, num_sessions, num_scenarios, width,
+                          dtype_name)
     first_switch_rows, _, later_switch_T = arena.consts(dtype_name)
     dt_idx_flat = arena.gather_indices(width)[1]
 

@@ -16,8 +16,10 @@ with three interchangeable backends:
   across compatible ABR instances — as batched tensors.  Results are
   bit-identical to ``serial`` (``tests/test_lockstep.py``, the golden
   masters and the property/fuzz layers — see ``docs/TESTING.md``); this
-  is the fastest single-process backend.
-* ``process`` — shards orders over a ``ProcessPoolExecutor``.  Orders are
+  is the fastest backend on every host measured, and the one
+  :meth:`BatchRunner.auto` returns whatever the core count.
+* ``process`` — opt-in only (never chosen by :meth:`BatchRunner.auto`):
+  shards orders over a ``ProcessPoolExecutor``.  Orders are
   dispatched as *chunked shards* (one pickle per shard, several orders
   each): orders in a shard share their pickled videos, so each worker
   builds one :class:`~repro.engine.precompute.SessionPrecompute` per video
@@ -276,16 +278,17 @@ class BatchRunner:
         self._pool: Optional[ProcessPoolExecutor] = None
 
     @classmethod
-    def auto(cls, max_workers: Optional[int] = None, **knobs) -> "BatchRunner":
-        """Process-pool runner on multi-core hosts, lockstep otherwise.
+    def auto(cls, **knobs) -> "BatchRunner":
+        """The default runner: in-process lockstep, whatever the core count.
 
-        Extra ``knobs`` (``max_shard_retries``, ``shard_timeout_s``, …)
-        pass straight through to the constructor either way.
+        On the 2-core host measured, the process pool lost to lockstep on
+        every workload: grid sweeps, and training rollouts, which the pool
+        runs through the scalar per-episode collector instead of the
+        batched RL driver.  The pool stays available as an explicit
+        ``backend="process"`` (the only backend ``max_workers`` sizes).
+        The fault-tolerance ``knobs`` (``max_shard_retries``,
+        ``shard_timeout_s``, …) pass straight through to the constructor.
         """
-        cores = os.cpu_count() or 1
-        if cores > 1:
-            return cls(backend="process", max_workers=max_workers,
-                       chunksize=2, **knobs)
         return cls(backend="lockstep", **knobs)
 
     @staticmethod

@@ -142,7 +142,8 @@ def _build_parser() -> argparse.ArgumentParser:
                            metavar="DIR", help="CheckpointStore root")
     train_cmd.add_argument("--backend", default="auto",
                            choices=("serial", "process", "lockstep", "auto"))
-    train_cmd.add_argument("--workers", type=int, default=None)
+    train_cmd.add_argument("--workers", type=int, default=None,
+                           help="worker count for the process backend")
     train_cmd.add_argument("--rounds", type=int, default=None,
                            help="training rounds (default: pipeline preset)")
     train_cmd.add_argument("--episodes-per-round", type=int, default=None)
@@ -162,7 +163,8 @@ def _build_parser() -> argparse.ArgumentParser:
     profile_cmd.add_argument("--seed", type=int, default=7)
     profile_cmd.add_argument("--backend", default="auto",
                              choices=("serial", "process", "lockstep", "auto"))
-    profile_cmd.add_argument("--workers", type=int, default=None)
+    profile_cmd.add_argument("--workers", type=int, default=None,
+                             help="worker count for the process backend")
     profile_cmd.add_argument("--checkpoints", default=None, metavar="DIR",
                              help="CheckpointStore root for trained policies")
     profile_cmd.add_argument("--set", dest="overrides", action="append",
@@ -548,7 +550,7 @@ def _cmd_train(args) -> int:
 
     knobs = _fault_knobs(args)
     if args.backend == "auto":
-        runner = BatchRunner.auto(max_workers=args.workers, **knobs)
+        runner = BatchRunner.auto(**knobs)
     else:
         runner = BatchRunner(backend=args.backend, max_workers=args.workers,
                              **knobs)
@@ -801,7 +803,13 @@ def _cmd_quarantine(args) -> int:
 
 def main(argv: Optional[List[str]] = None) -> int:
     """CLI entry point; returns the process exit code."""
-    args = _build_parser().parse_args(argv)
+    parser = _build_parser()
+    args = parser.parse_args(argv)
+    workers = getattr(args, "workers", None)
+    if workers is not None and args.backend != "process":
+        # every other backend runs in this process: a worker count would
+        # be accepted and silently ignored
+        parser.error("--workers applies only to --backend process")
     handlers = {
         "list": _cmd_list,
         "run": _cmd_run,

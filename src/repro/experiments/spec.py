@@ -32,8 +32,8 @@ from typing import Callable, Dict, List, Optional, Tuple
 from repro.experiments.common import ExperimentScale
 from repro.utils.validation import require
 
-#: Execution backends a spec may request; ``auto`` picks process pools on
-#: multi-core hosts and the lockstep core otherwise (see
+#: Execution backends a spec may request; ``auto`` is the in-process
+#: lockstep core on every host, ``process`` the opt-in pool (see
 #: :meth:`repro.engine.runner.BatchRunner.auto`).  Results are identical on
 #: every backend (lockstep and process are bit-identical to serial), which
 #: is why ``spec_hash`` excludes the backend.
@@ -137,7 +137,8 @@ class ExperimentSpec:
     backend / max_workers:
         Execution knobs for the :class:`~repro.engine.runner.BatchRunner`;
         excluded from :meth:`spec_hash` because results do not depend on
-        them.
+        them.  ``max_workers`` sizes the ``process`` backend's pool and
+        has no effect on any other backend.
     include_pensieve:
         Override the experiment's default for including RL policies
         (``None`` keeps the experiment's default).

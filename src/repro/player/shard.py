@@ -443,21 +443,24 @@ class ShardState:
 
         # Most consumers only read the rendered video, so the per-chunk
         # record objects are built lazily — from row copies, not the shard
-        # (the closure must not pin the whole SoA state in memory).
-        download_columns = (
-            self.levels[row, :num_chunks].tolist(),
-            self.rec_size[row, :num_chunks].tolist(),
-            self.rec_start[row, :num_chunks].tolist(),
-            self.rec_duration[row, :num_chunks].tolist(),
-            self.rec_throughput[row, :num_chunks].tolist(),
-            self.rec_buffer_before[row, :num_chunks].tolist(),
-            self.rec_buffer_after[row, :num_chunks].tolist(),
-        )
+        # (the closure must not pin the whole SoA state in memory).  The
+        # copies stay numpy arrays until the timeline is built: a finished
+        # grid holds hundreds of results, and Python float lists would
+        # cost several times the bytes.
+        levels = self.levels[row, :num_chunks].copy()
+        records = np.stack([
+            self.rec_size[row, :num_chunks],
+            self.rec_start[row, :num_chunks],
+            self.rec_duration[row, :num_chunks],
+            self.rec_throughput[row, :num_chunks],
+            self.rec_buffer_before[row, :num_chunks],
+            self.rec_buffer_after[row, :num_chunks],
+        ])
 
         def build_timeline() -> SessionTimeline:
             timeline = SessionTimeline()
             for chunk, (level, size, start, length, tput, before, after) in (
-                enumerate(zip(*download_columns))
+                enumerate(zip(levels.tolist(), *records.tolist()))
             ):
                 timeline.add_download(
                     DownloadRecord(
@@ -485,7 +488,7 @@ class ShardState:
         encoded = self.encoded[row]
         rendered = RenderedVideo(
             encoded=encoded,
-            levels=self.levels[row, :num_chunks].copy(),
+            levels=levels.copy(),
             stalls_s=self.stalls[row, :num_chunks].copy(),
             startup_delay_s=float(self.startup_delay[row]),
             render_id=(

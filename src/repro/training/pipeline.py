@@ -107,14 +107,6 @@ def train_policies(
     owns_runner = runner is None
     if runner is None:
         runner = BatchRunner.auto()
-    if owns_runner and runner.backend == "process":
-        # Training is many small collection rounds: a persistent pool pays
-        # worker spawn once per run instead of once per round.  Closed in
-        # the ``finally`` below.
-        runner = BatchRunner(
-            backend="process", max_workers=runner.max_workers,
-            chunksize=runner.chunksize, persistent=True,
-        )
     config = config if config is not None else DEFAULT_TRAINING
     try:
         context = ExperimentContext(

@@ -15,7 +15,8 @@ Three layers of evidence that the arena rebuild of
 * **Config plumbing:** the process default is ``("arena", "float64")``
   — the fast-but-inexact float32 path can never turn itself on — and
   the derived caches (switch terms, arenas) are LRU-bounded with
-  counted evictions.
+  counted evictions, and the arena workspaces stay within their byte
+  budget on ragged batch sizes without changing any result.
 """
 
 from __future__ import annotations
@@ -317,6 +318,94 @@ class TestDerivedCacheBounds:
         assert candidates.flags.writeable
         planner._arena_for(candidates, np.linspace(100.0, 4000.0, 4))
         assert len(planner._ARENAS) == 0
+        clear_plan_cache()
+
+
+def _allocated_bytes(ws) -> int:
+    """Bytes a workspace's arrays own (``dt_nodes`` are views)."""
+    total = 0
+    for name in ws.__slots__:
+        value = getattr(ws, name)
+        if isinstance(value, np.ndarray):
+            total += value.nbytes
+        elif name != "dt_nodes":
+            total += sum(array.nbytes for array in value)
+    return total
+
+
+def _retained_bytes() -> int:
+    return sum(_allocated_bytes(ws) for ws, _ in planner._WORKSPACES.values())
+
+
+class TestWorkspaceCache:
+    """Arena workspaces live in one process-wide LRU bounded by bytes."""
+
+    #: (levels, max_step) per ladder: distinct candidate trees, plus a
+    #: fresh random bitrate ladder for every call.
+    LADDERS = ((3, 2), (4, 2), (5, 2), (4, None))
+
+    @staticmethod
+    def _arena_f64(kwargs):
+        return evaluate_candidates_batch(
+            **kwargs, kernel_impl="arena", kernel_dtype="float64"
+        )
+
+    def test_ragged_batches_stay_within_byte_budget(self):
+        budget = 2 * planner._KERNEL_L2_BYTES
+        clear_plan_cache()
+        evictions = planner._WORKSPACE_STATS["evictions"]
+        # Two calls per (N, ladder): the second runs on the workspace the
+        # first just wrote.
+        calls = [
+            _batch_inputs(
+                1000 * num_sessions + 10 * index + repeat, num_sessions, 5,
+                levels, horizon=4, max_step=max_step,
+                weighted=(num_sessions + repeat) % 2 == 0,
+                num_stalls=1 + num_sessions % 2,
+                need_rebuffer=num_sessions % 3 == 0,
+            )
+            for num_sessions in range(1, 65)
+            for index, (levels, max_step) in enumerate(self.LADDERS)
+            for repeat in range(2)
+        ]
+        warm = []
+        for kwargs in calls:
+            warm.append(self._arena_f64(kwargs))
+            retained = _retained_bytes()
+            assert retained == planner._WORKSPACE_STATS["bytes"] <= budget
+        assert planner._WORKSPACE_STATS["evictions"] > evictions
+        # The first calls' workspaces were evicted long ago: rerun them on
+        # rebuilt ones.
+        calls += calls[:8]
+        warm += [self._arena_f64(kwargs) for kwargs in calls[-8:]]
+        # Every warm call ran on a workspace another call had written or
+        # on one rebuilt after eviction; each must match a cold cache.
+        for kwargs, result in zip(calls, warm):
+            clear_plan_cache()
+            _assert_bitwise_equal(result, self._arena_f64(kwargs), "cold")
+        clear_plan_cache()
+
+    def test_gauges_match_the_cache(self):
+        from repro.obs.metrics import MetricsRegistry
+
+        clear_plan_cache()
+        for num_sessions in (3, 7):
+            kwargs = _batch_inputs(
+                num_sessions, num_sessions, 2, 4, horizon=3, max_step=1,
+                weighted=False, num_stalls=1, need_rebuffer=False,
+            )
+            for dtype in ("float64", "float32"):
+                evaluate_candidates_batch(**kwargs, kernel_dtype=dtype)
+        gauges = MetricsRegistry().snapshot()["gauges"]
+        assert gauges["planner.arena.workspaces"] == len(
+            planner._WORKSPACES
+        ) == 4
+        assert gauges["planner.arena.workspace_bytes"] == (
+            _retained_bytes()
+        ) > 0
+        assert gauges["planner.arena.workspace_evictions"] == (
+            planner._WORKSPACE_STATS["evictions"]
+        )
         clear_plan_cache()
 
 

@@ -10,6 +10,8 @@ shapes.  These tests are the enforcement of that contract.
 
 from __future__ import annotations
 
+import dataclasses
+import pickle
 from unittest import mock
 
 import numpy as np
@@ -32,6 +34,7 @@ from repro.engine.lockstep import (
 from repro.engine.runner import BatchRunner, WorkOrder, orders_for_grid
 from repro.network.bank import TraceBank
 from repro.network.trace import ThroughputTrace
+from repro.player.events import LazySessionTimeline
 from repro.video.chunk import DEFAULT_LADDER
 from repro.video.encoder import SyntheticEncoder
 from repro.video.video import SourceVideo
@@ -355,11 +358,58 @@ class TestProcessShardBackend:
             assert first == second == [2 * i for i in range(8)]
         assert runner._pool is None
 
-    def test_auto_prefers_lockstep_on_single_core(self):
-        with mock.patch("repro.engine.runner.os.cpu_count", return_value=1):
-            assert BatchRunner.auto().backend == "lockstep"
-        with mock.patch("repro.engine.runner.os.cpu_count", return_value=8):
-            assert BatchRunner.auto().backend == "process"
+    def test_auto_is_lockstep_on_any_core_count(self):
+        for cores in (1, 8):
+            with mock.patch(
+                "repro.engine.runner.os.cpu_count", return_value=cores
+            ):
+                assert BatchRunner.auto().backend == "lockstep"
+
+
+class TestShardFinalize:
+    """The lazily built lockstep timeline is the serial one, record for
+    record, down to the Python types of its fields."""
+
+    def test_timeline_records_match_serial_with_python_scalars(
+        self, ragged_grid
+    ):
+        videos, traces, weights = ragged_grid
+        keyed = orders_for_grid(
+            [BufferBasedABR(), SenseiFuguABR()], videos, traces,
+            weights_by_video=weights,
+        )
+        orders = [order for _, order in keyed]
+        serial = BatchRunner(backend="serial").run_orders(orders)
+        lockstep = BatchRunner(backend="lockstep").run_orders(orders)
+        for left, right in zip(serial, lockstep):
+            pairs = list(zip(left.timeline.downloads, right.timeline.downloads))
+            pairs += list(zip(left.timeline.stalls, right.timeline.stalls))
+            assert len(left.timeline.downloads) == len(right.timeline.downloads)
+            assert len(left.timeline.stalls) == len(right.timeline.stalls)
+            for expected, record in pairs:
+                for field in dataclasses.fields(record):
+                    value = getattr(record, field.name)
+                    assert value == getattr(expected, field.name), field.name
+                    assert type(value) in (int, float, str), (
+                        field.name, type(value)
+                    )
+
+    def test_result_pickles_as_plain_timeline(self, ragged_grid):
+        """The float64 row copies never reach the wire: a lockstep result
+        pickles to exactly the bytes of a lazy wrapper around the serial
+        timeline (the engine's per-order ``result_bytes``)."""
+        videos, traces, weights = ragged_grid
+        keyed = orders_for_grid(
+            [FuguABR()], videos, traces[:2], weights_by_video=weights
+        )
+        orders = [order for _, order in keyed]
+        serial = BatchRunner(backend="serial").run_orders(orders)
+        lockstep = BatchRunner(backend="lockstep").run_orders(orders)
+        for left, right in zip(serial, lockstep):
+            eager = dataclasses.replace(
+                left, timeline=LazySessionTimeline(lambda: left.timeline)
+            )
+            assert pickle.dumps(right) == pickle.dumps(eager)
 
 
 def _double(value: int) -> int:

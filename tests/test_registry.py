@@ -461,6 +461,19 @@ class TestCLI:
         assert cli_main(argv) == 0
         assert not (tmp_path / "results").exists()
 
+    @pytest.mark.parametrize("command", ["run", "train", "profile"])
+    @pytest.mark.parametrize("backend", ["serial", "lockstep", "auto"])
+    def test_workers_rejected_off_the_process_backend(
+        self, command, backend, capsys
+    ):
+        argv = [command] + (["table1"] if command != "train" else [])
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv + ["--backend", backend, "--workers", "2"])
+        assert exc.value.code == 2
+        assert "--workers applies only to --backend process" in (
+            capsys.readouterr().err
+        )
+
     def test_report_missing_target_fails(self, tmp_path, capsys):
         code = cli_main(
             ["report", "nonesuch", "--results", str(tmp_path / "results")]
