@@ -67,11 +67,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from repro.faults.injector import (
-    SimulatedWorkerCrash,
-    active_injector,
-    execute_shard_fault,
-)
+from repro.faults.injector import active_injector, execute_shard_fault
 from repro.faults.log import FaultLog, ShardRecoveryWarning
 from repro.obs.trace import TRACE, trace_span
 
@@ -157,10 +153,9 @@ def run_orders_lockstep(
     :class:`~repro.faults.log.ShardRecoveryWarning` (promoted to an error
     in the test suite outside the chaos tests, so recovery can never mask
     an engine regression there).  An active
-    :class:`~repro.faults.injector.FaultInjector` may inject shard faults
-    here (``kill_worker`` degrades to a raised
-    :class:`~repro.faults.injector.SimulatedWorkerCrash` in-process);
-    recoveries are counted in ``fault_log`` when the caller passes one.
+    :class:`~repro.faults.injector.FaultInjector` may inject
+    ``raise_in_shard`` faults here; recoveries are counted in
+    ``fault_log`` when the caller passes one.
     """
     orders = list(orders)
     results: List[Optional[StreamResult]] = [None] * len(orders)
@@ -179,7 +174,7 @@ def run_orders_lockstep(
         )
         try:
             if fault is not None:
-                execute_shard_fault(fault, in_worker=False)
+                execute_shard_fault(fault)
             with trace_span("engine.lockstep.shard"):
                 shard_results = _run_shard(shard_orders)
         except Exception as error:
@@ -191,8 +186,6 @@ def run_orders_lockstep(
                 stacklevel=2,
             )
             if fault_log is not None:
-                if isinstance(error, SimulatedWorkerCrash):
-                    fault_log.worker_crashes += 1
                 fault_log.serial_fallbacks += 1
                 fault_log.record(
                     f"lockstep shard {shard_index} recovered serially "
@@ -260,8 +253,6 @@ def run_rl_rollouts_lockstep(
                 stacklevel=2,
             )
             if fault_log is not None:
-                if isinstance(error, SimulatedWorkerCrash):
-                    fault_log.worker_crashes += 1
                 fault_log.serial_fallbacks += 1
                 fault_log.record(
                     f"lockstep rollout shard {shard_index} recovered "

@@ -30,11 +30,8 @@ STANDARD_INCIDENTS = {
 
 
 def _series_true_qoe(item) -> List[float]:
-    """True QoE of every rendering in one (video, incident) series.
-
-    Module-level so the batch engine's process backend can pickle it; each
-    item is an ``(oracle, encoded, incident)`` tuple.
-    """
+    """True QoE of every rendering in one (video, incident) series; each
+    item is an ``(oracle, encoded, incident)`` tuple."""
     oracle, encoded, incident = item
     return [oracle.true_qoe(r) for r in make_video_series(encoded, incident)]
 

@@ -136,7 +136,7 @@ def bandwidth_savings(
     print(f"Base trace '{base_trace.name}', mean {base_trace.mean_mbps:.2f} Mbps")
     print(f"\n{'bandwidth scale':>15s} " + " ".join(f"{n:>12s}" for n in algorithms))
     # One work order per (ratio, algorithm, video), dispatched in a single
-    # batch so a process backend pays pool startup once for the whole sweep.
+    # batch so a lockstep runner steps the whole sweep together.
     labels, orders = [], []
     for ratio in scaling_ratios:
         trace = base_trace.scaled(ratio)

@@ -5,9 +5,8 @@ items land against (see ``docs/OBSERVABILITY.md``):
 
 * :mod:`repro.obs.metrics` — the process-local
   :class:`~repro.obs.metrics.MetricsRegistry` (counters, gauges,
-  fixed-bucket histograms, span accumulators) with a mergeable snapshot
-  format so per-worker registries travel back over the process-backend
-  shard boundary exactly like ``FaultLog`` deltas.
+  fixed-bucket histograms, span accumulators) with a JSON-able snapshot
+  format and snapshot diffing.
 * :mod:`repro.obs.trace` — ``trace_span("planner.kernel")`` phase tracing
   on the monotonic clock, off by default with a one-attribute-check no-op
   fast path and a ≤2% enabled overhead budget asserted by the perf
@@ -27,7 +26,6 @@ from repro.obs.metrics import (
     MetricsRegistry,
     diff_snapshots,
     get_registry,
-    merge_snapshots,
     register_collector,
     use_registry,
 )
@@ -57,7 +55,6 @@ __all__ = [
     "diff_snapshots",
     "get_registry",
     "is_enabled",
-    "merge_snapshots",
     "phase_table",
     "record_span",
     "register_collector",

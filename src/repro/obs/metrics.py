@@ -6,15 +6,8 @@ Design contract (mirroring :class:`repro.faults.log.FaultLog`):
   counters, gauges, fixed-bucket histograms and span accumulators.  No
   threads, no sockets, no third-party clients — sinks that speak external
   formats live in :mod:`repro.obs.sinks`.
-* **Mergeable snapshots.**  :meth:`MetricsRegistry.snapshot` returns a
-  plain JSON-able dict, and :func:`merge_snapshots` /
-  :meth:`MetricsRegistry.merge_snapshot` fold snapshots together the same
-  way :func:`repro.faults.log.merge_counter_dicts` folds fault counters:
-  counters, histogram bucket counts and span totals add; gauges take the
-  most recent value.  That is exactly what lets a per-worker registry
-  travel back over the process-backend shard boundary
-  (:func:`repro.engine.runner._execute_shard` returns one snapshot per
-  shard) and land in the parent's registry without loss.
+* **Plain snapshots.**  :meth:`MetricsRegistry.snapshot` returns a plain
+  JSON-able dict — what the sinks export and reports embed.
 * **Deltas by diffing.**  Long-lived owners take a snapshot before a run
   and :func:`diff_snapshots` after — the registry itself never resets
   under a reader's feet (same discipline as ``FaultLog.snapshot()`` /
@@ -22,9 +15,9 @@ Design contract (mirroring :class:`repro.faults.log.FaultLog`):
 
 The *active* registry is module-level state: hot paths record into
 :func:`get_registry` and callers scope a private registry with
-:func:`use_registry`.  Registries are not thread-safe — the engine is
-process-parallel, never thread-parallel, and each worker process owns its
-own registry.
+:func:`use_registry`.  Registries are not thread-safe — the engine runs
+its hot paths on one thread (the decision service's asyncio loop
+included).
 """
 
 from __future__ import annotations
@@ -43,7 +36,6 @@ __all__ = [
     "MetricsRegistry",
     "diff_snapshots",
     "get_registry",
-    "merge_snapshots",
     "register_collector",
     "use_registry",
 ]
@@ -143,7 +135,7 @@ def register_collector(collector: Callable[["MetricsRegistry"], None]) -> None:
 
 
 class MetricsRegistry:
-    """One process-local bag of metrics with a mergeable snapshot format."""
+    """One process-local bag of metrics with a JSON-able snapshot format."""
 
     __slots__ = ("_counters", "_gauges", "_histograms", "_spans")
 
@@ -240,54 +232,12 @@ class MetricsRegistry:
             },
         }
 
-    def merge_snapshot(self, snapshot: Dict[str, object]) -> None:
-        """Fold a snapshot (e.g. one returned by a pool worker) into this
-        live registry — the metrics equivalent of merging FaultLog deltas."""
-        for name, value in snapshot.get("counters", {}).items():
-            self.counter(name).add(value)
-        for name, value in snapshot.get("gauges", {}).items():
-            self.gauge(name).set(value)
-        for name, payload in snapshot.get("histograms", {}).items():
-            hist = self.histogram(name, buckets=payload["buckets"])
-            if list(hist.buckets) != [float(b) for b in payload["buckets"]]:
-                raise ValueError(
-                    f"histogram {name!r} bucket mismatch on merge: "
-                    f"{hist.buckets} vs {payload['buckets']}"
-                )
-            for index, count in enumerate(payload["counts"]):
-                hist.counts[index] += count
-            hist.sum += payload["sum"]
-            hist.count += payload["count"]
-        for name, payload in snapshot.get("spans", {}).items():
-            entry = self._spans.get(name)
-            if entry is None:
-                self._spans[name] = [
-                    payload["count"], payload["total_s"], payload["max_s"]
-                ]
-            else:
-                entry[0] += payload["count"]
-                entry[1] += payload["total_s"]
-                if payload["max_s"] > entry[2]:
-                    entry[2] = payload["max_s"]
-
     def clear(self) -> None:
         """Drop everything recorded (tests and scoped profiling runs)."""
         self._counters.clear()
         self._gauges.clear()
         self._histograms.clear()
         self._spans.clear()
-
-
-def merge_snapshots(*snapshots: Dict[str, object]) -> Dict[str, object]:
-    """Key-wise merge of snapshots: counters/histograms/spans add, gauges
-    take the last snapshot's value (point-in-time semantics)."""
-    merged = MetricsRegistry()
-    for snapshot in snapshots:
-        merged.merge_snapshot(snapshot)
-    # merge_snapshot re-runs no collectors (they are snapshot-time hooks on
-    # *live* registries); export through the raw structure instead.
-    payload = merged.snapshot()
-    return payload
 
 
 def diff_snapshots(
@@ -351,8 +301,8 @@ def get_registry() -> MetricsRegistry:
 
 @contextmanager
 def use_registry(registry: MetricsRegistry) -> Iterator[MetricsRegistry]:
-    """Scope ``registry`` as the active one (profiling runs, workers,
-    tests).  Restores the previous registry on exit, exception or not."""
+    """Scope ``registry`` as the active one (profiling runs, tests).
+    Restores the previous registry on exit, exception or not."""
     global _ACTIVE
     previous = _ACTIVE
     _ACTIVE = registry

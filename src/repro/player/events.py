@@ -128,9 +128,8 @@ class LazySessionTimeline:
     objects eagerly would be wasted work on the hot path.  This wrapper
     defers that construction: any attribute or method access builds the
     real timeline once and delegates to it from then on, so observable
-    values are exactly those of the eager timeline.  Pickling (the process
-    backend ships results between workers) materialises and serialises the
-    plain :class:`SessionTimeline`.
+    values are exactly those of the eager timeline.  Pickling materialises
+    and serialises the plain :class:`SessionTimeline`.
     """
 
     __slots__ = ("_build", "_timeline")

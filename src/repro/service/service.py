@@ -212,16 +212,14 @@ class DecisionService:
         """Drain in-flight flushes, then release owned resources.
 
         Idempotent.  Waiters still in the window are answered by the
-        drain flush; an owned :class:`BatchRunner` is closed through its
-        context-manager path so worker pools tear down cleanly.
+        drain flush; an owned :class:`BatchRunner` is released.
         """
         if self._closed:
             return
         self._closed = True
         await self.batcher.drain()
-        if self._owns_runner and self._runner is not None:
-            runner, self._runner = self._runner, None
-            runner.__exit__(None, None, None)
+        if self._owns_runner:
+            self._runner = None
 
     async def __aenter__(self) -> "DecisionService":
         return self

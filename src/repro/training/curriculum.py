@@ -16,9 +16,9 @@ the same trace mix it is evaluated under (§5.2, §7.1).  A
   band where bitrate decisions are hardest.
 
 Every spec carries its own episode seed derived from (curriculum seed,
-round, position), so a rollout worker can reproduce the episode with no
-other context — the property the parallel collector's serial ≡ pool
-guarantee rests on.  Held-out specs draw from a seed namespace disjoint
+round, position), so a rollout can reproduce the episode with no other
+context — the property the collector's serial ≡ lockstep guarantee rests
+on.  Held-out specs draw from a seed namespace disjoint
 from every training round; they deliberately stay on the bank (evaluation)
 distribution, so they measure progress on the target trace mix rather than
 generalisation to unseen networks.

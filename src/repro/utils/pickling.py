@@ -2,10 +2,9 @@
 
 Several hot objects (encoded videos, throughput traces) cache derived
 arrays on themselves under underscore attributes.  Those caches are cheap
-to re-derive but roughly double pickle payloads, which matters when the
-batch engine's process backend ships thousands of work orders between
-processes.  The policy — serialise only the declared (non-underscore)
-state — lives here so every class applies the same filter.
+to re-derive but roughly double pickle payloads.  The policy — serialise
+only the declared (non-underscore) state — lives here so every class
+applies the same filter.
 """
 
 from __future__ import annotations

@@ -196,66 +196,32 @@ class TestVectorizedEvaluator:
 # ----------------------------------------------------------------- runner
 
 
-def _double(value: int) -> int:
-    """Module-level so the process backend can pickle it."""
-    return 2 * value
-
-
-def _type_name(value) -> str:
-    """Module-level so the process backend can pickle it."""
-    return type(value).__name__
-
-
-def _raise_type_error(value):
-    """Module-level so the process backend can pickle it."""
-    raise TypeError(f"deliberate failure on {value!r}")
-
-
 class TestBatchRunner:
     def test_invalid_backend_rejected(self):
-        with pytest.raises(ValueError):
-            BatchRunner(backend="threads")
+        for backend in ("threads", "process"):
+            with pytest.raises(ValueError):
+                BatchRunner(backend=backend)
 
     def test_serial_map_preserves_order(self):
         runner = BatchRunner()
-        assert runner.map_ordered(_double, list(range(10))) == [
+        assert runner.map_ordered(lambda x: 2 * x, list(range(10))) == [
             2 * i for i in range(10)
         ]
 
     def test_empty_orders(self):
         assert BatchRunner().run_orders([]) == []
 
-    @pytest.mark.slow
-    def test_process_map_preserves_order(self):
-        runner = BatchRunner(backend="process", max_workers=2)
-        assert runner.map_ordered(_double, list(range(16))) == [
-            2 * i for i in range(16)
-        ]
-
-    def test_unpicklable_falls_back_to_serial(self):
-        runner = BatchRunner(backend="process", max_workers=2)
-        closure = lambda x: x + 1  # noqa: E731 — deliberately unpicklable
-        with pytest.warns(RuntimeWarning):
-            assert runner.map_ordered(closure, [1, 2, 3]) == [2, 3, 4]
-
-    @pytest.mark.slow
-    def test_worker_exception_propagates_without_serial_rerun(self):
-        """A TypeError raised by fn itself is the caller's bug: it must
-        propagate, not trigger the unpicklable-batch serial fallback."""
-        runner = BatchRunner(backend="process", max_workers=2)
-        with pytest.raises(TypeError, match="deliberate"):
-            runner.map_ordered(_raise_type_error, [1, 2])
-
-    @pytest.mark.slow
-    def test_heterogeneous_unpicklable_item_falls_back_mid_flight(self):
-        """The first item pickles fine, a later one does not: the pool
-        attempt must be abandoned and the whole batch rerun serially."""
-        runner = BatchRunner(backend="process", max_workers=2)
-        items = [3, lambda: None, 5]  # the lambda cannot be pickled
-        with pytest.warns(RuntimeWarning, match="rerunning serially"):
-            assert runner.map_ordered(_type_name, items) == [
-                "int", "function", "int"
-            ]
+    def test_auto_is_lockstep_on_any_core_count(self):
+        """auto() reads nothing about the host: it is always lockstep.
+        ``persistent`` is the one keyword it still takes (and ignores);
+        close() stays a no-op callers may repeat."""
+        assert BatchRunner.auto().backend == "lockstep"
+        runner = BatchRunner.auto(persistent=True)
+        assert runner.backend == "lockstep"
+        runner.close()
+        runner.close()
+        with pytest.raises(TypeError):
+            BatchRunner.auto(max_workers=2)
 
     def test_orders_for_grid_matches_seed_nesting(self, small_encoded):
         traces = [
@@ -351,8 +317,7 @@ class TestBatchRunnerEquivalence:
             assert (k1, v1, t1) == (k2, v2, t2)
             assert_stream_results_identical(r1, r2)
 
-    @pytest.mark.slow
-    def test_process_backend_matches_sequential_simulate_many(
+    def test_lockstep_backend_matches_sequential_simulate_many(
         self, equivalence_grid
     ):
         videos, traces, weights = equivalence_grid
@@ -361,7 +326,7 @@ class TestBatchRunnerEquivalence:
         )
         batched = simulate_many(
             _grid_abrs(), videos, traces, weights_by_video=weights,
-            runner=BatchRunner(backend="process", max_workers=2, chunksize=2),
+            runner=BatchRunner(backend="lockstep"),
         )
         assert len(reference) == len(batched)
         for (k1, v1, t1, r1), (k2, v2, t2, r2) in zip(reference, batched):

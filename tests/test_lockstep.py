@@ -310,62 +310,6 @@ class TestDifferentialFuzz:
         _run_both(abrs, videos, traces, weights)
 
 
-class TestProcessShardBackend:
-    def test_single_core_falls_back_to_lockstep_in_process(self, ragged_grid):
-        """On a 1-core host the process backend must not spawn a pool."""
-        videos, traces, weights = ragged_grid
-        keyed = orders_for_grid([FuguABR()], videos, traces,
-                                weights_by_video=weights)
-        orders = [order for _, order in keyed]
-        reference = BatchRunner(backend="serial").run_orders(orders)
-        with mock.patch("repro.engine.runner.os.cpu_count", return_value=1):
-            with mock.patch(
-                "repro.engine.runner.ProcessPoolExecutor",
-                side_effect=AssertionError("pool must not be created"),
-            ):
-                results = BatchRunner(backend="process").run_orders(orders)
-        for left, right in zip(reference, results):
-            assert_results_identical(left, right)
-
-    @pytest.mark.slow
-    def test_shard_dispatch_bit_identical(self, ragged_grid):
-        """Chunked shards through real workers reproduce serial results."""
-        videos, traces, weights = ragged_grid
-        keyed = orders_for_grid(
-            [BufferBasedABR(), SenseiFuguABR()], videos, traces,
-            weights_by_video=weights,
-        )
-        orders = [order for _, order in keyed]
-        reference = BatchRunner(backend="serial").run_orders(orders)
-        with mock.patch("repro.engine.runner.os.cpu_count", return_value=4):
-            results = BatchRunner(
-                backend="process", max_workers=2
-            ).run_orders(orders)
-        for left, right in zip(reference, results):
-            assert_results_identical(left, right)
-
-    @pytest.mark.slow
-    def test_persistent_pool_reuse_and_close(self):
-        """A persistent runner reuses one pool across calls until closed."""
-        with BatchRunner(
-            backend="process", max_workers=2, persistent=True
-        ) as runner:
-            first = runner.map_ordered(_double, list(range(8)))
-            pool = runner._pool
-            assert pool is not None
-            second = runner.map_ordered(_double, list(range(8)))
-            assert runner._pool is pool
-            assert first == second == [2 * i for i in range(8)]
-        assert runner._pool is None
-
-    def test_auto_is_lockstep_on_any_core_count(self):
-        for cores in (1, 8):
-            with mock.patch(
-                "repro.engine.runner.os.cpu_count", return_value=cores
-            ):
-                assert BatchRunner.auto().backend == "lockstep"
-
-
 class TestShardFinalize:
     """The lazily built lockstep timeline is the serial one, record for
     record, down to the Python types of its fields."""
@@ -411,7 +355,3 @@ class TestShardFinalize:
             )
             assert pickle.dumps(right) == pickle.dumps(eager)
 
-
-def _double(value: int) -> int:
-    """Module-level so the process backend can pickle it."""
-    return 2 * value

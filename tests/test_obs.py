@@ -1,6 +1,6 @@
 """The telemetry subsystem: registry semantics, tracing, sinks, and the
-engine integration (worker snapshot merging, backend-equivalent totals,
-fault-log publishing, cache metrics, the ``profile`` CLI).
+engine integration (backend-equivalent totals, fault-log publishing,
+cache metrics, the ``profile`` CLI).
 
 Timing-valued fields (span seconds, histogram sums over wall clock) are
 never compared across runs — only deterministic metrics are: counts of
@@ -11,7 +11,6 @@ bit-identical across backends by the engine's equivalence contract.
 from __future__ import annotations
 
 import json
-from unittest import mock
 
 import pytest
 
@@ -27,7 +26,6 @@ from repro.obs import (
     DEFAULT_SIZE_BUCKETS,
     MetricsRegistry,
     diff_snapshots,
-    merge_snapshots,
     phase_table,
     register_collector,
     run_events,
@@ -162,40 +160,6 @@ class TestMetricsRegistry:
         snapshot = registry.snapshot()
         assert not snapshot["counters"]
         assert not snapshot["spans"]
-
-    def test_merge_snapshot_adds_counters_histograms_spans(self):
-        source = MetricsRegistry()
-        source.counter("c").inc(2)
-        source.histogram("h", buckets=(1.0,)).observe(0.5)
-        source.record_span("s", 0.25)
-        source.gauge("g").set(9)
-        target = MetricsRegistry()
-        target.counter("c").inc(1)
-        target.histogram("h", buckets=(1.0,)).observe(3.0)
-        target.record_span("s", 0.75)
-        target.merge_snapshot(source.snapshot())
-        merged = target.snapshot()
-        assert merged["counters"]["c"] == 3.0
-        assert merged["histograms"]["h"]["counts"] == [1, 1]
-        assert merged["spans"]["s"] == {
-            "count": 2, "total_s": 1.0, "max_s": 0.75,
-        }
-        assert merged["gauges"]["g"] == 9.0
-
-    def test_merge_rejects_bucket_mismatch(self):
-        source = MetricsRegistry()
-        source.histogram("h", buckets=(1.0, 2.0)).observe(0.5)
-        target = MetricsRegistry()
-        target.histogram("h", buckets=(1.0, 5.0)).observe(0.5)
-        with pytest.raises(ValueError, match="bucket mismatch"):
-            target.merge_snapshot(source.snapshot())
-
-    def test_merge_snapshots_function(self):
-        a = MetricsRegistry()
-        a.counter("c").inc(1)
-        b = MetricsRegistry()
-        b.counter("c").inc(2)
-        assert merge_snapshots(a.snapshot(), b.snapshot())["counters"]["c"] == 3.0
 
     def test_diff_snapshots_window(self):
         registry = MetricsRegistry()
@@ -431,72 +395,35 @@ class TestEngineTelemetry:
             == lockstep["histograms"]["engine.session_duration_s"]
         )
 
-    @pytest.mark.slow
-    def test_process_backend_merges_worker_snapshots(self, obs_orders):
-        """Per-worker registries travel back over the shard boundary and the
-        parent's deterministic totals match the serial run's exactly."""
-        _, serial = _run_with_telemetry(
-            BatchRunner(backend="serial"), obs_orders
-        )
-        with mock.patch("repro.engine.runner.os.cpu_count", return_value=4):
-            runner = BatchRunner(backend="process", max_workers=2)
-            try:
-                results, process = _run_with_telemetry(runner, obs_orders)
-            finally:
-                runner.close()
-        assert len(results) == len(obs_orders)
-        assert (
-            process["counters"]["engine.orders_completed"]
-            == serial["counters"]["engine.orders_completed"]
-        )
-        # Bucket counts are exact (each observation is bit-identical across
-        # backends); the float *sum* is accumulated shard-by-shard in the
-        # workers and merged in completion order, so its association —
-        # hence its last bits — can differ from the serial left-to-right sum.
-        serial_hist = serial["histograms"]["engine.session_duration_s"]
-        process_hist = process["histograms"]["engine.session_duration_s"]
-        assert process_hist["buckets"] == serial_hist["buckets"]
-        assert process_hist["counts"] == serial_hist["counts"]
-        assert process_hist["count"] == serial_hist["count"]
-        assert process_hist["sum"] == pytest.approx(
-            serial_hist["sum"], rel=1e-9
-        )
-        # The workers' span snapshots merged in too (names, not timings).
-        assert process["spans"]["planner.kernel"]["count"] >= 1
-        assert process["spans"]["player.step"]["count"] >= 1
-
 
 # --------------------------------------------------------- fault-log metrics
 
 class TestFaultLogMetrics:
-    def test_publish_counters_and_histogram(self):
+    def test_publish_counters(self):
         log = FaultLog()
-        log.retries = 3
-        log.worker_crashes = 1
-        log.wall_clock_lost_s = 1.5
+        log.serial_fallbacks = 3
+        log.quarantined = 1
         registry = MetricsRegistry()
         log.publish_metrics(registry)
         snapshot = registry.snapshot()
-        assert snapshot["counters"]["faults.retries"] == 3.0
-        assert snapshot["counters"]["faults.worker_crashes"] == 1.0
-        hist = snapshot["histograms"]["faults.wall_clock_lost_s"]
-        assert hist["count"] == 1
-        assert hist["sum"] == pytest.approx(1.5)
+        assert snapshot["counters"]["faults.serial_fallbacks"] == 3.0
+        assert snapshot["counters"]["faults.quarantined"] == 1.0
 
     def test_publish_is_incremental(self):
         """Registry totals track log totals across repeated publishes —
         the metrics/FaultLog consistency contract."""
         log = FaultLog()
         registry = MetricsRegistry()
-        log.retries = 2
+        log.serial_fallbacks = 2
         log.publish_metrics(registry)
-        log.retries = 5
-        log.timeouts = 1
+        log.serial_fallbacks = 5
+        log.quarantined = 1
         log.publish_metrics(registry)
         log.publish_metrics(registry)  # no new faults: no double count
         snapshot = registry.snapshot()
-        assert snapshot["counters"]["faults.retries"] == log.retries == 5
-        assert snapshot["counters"]["faults.timeouts"] == log.timeouts == 1
+        counters = snapshot["counters"]
+        assert counters["faults.serial_fallbacks"] == log.serial_fallbacks == 5
+        assert counters["faults.quarantined"] == log.quarantined == 1
 
     def test_healthy_log_publishes_nothing(self):
         registry = MetricsRegistry()

@@ -63,8 +63,8 @@ class TestExperimentSpec:
 
     def test_hash_ignores_execution_backend(self):
         base = tiny_spec("fig04")
-        assert base.spec_hash() == base.with_(backend="process").spec_hash()
-        assert base.spec_hash() == base.with_(max_workers=4).spec_hash()
+        assert base.spec_hash() == base.with_(backend="lockstep").spec_hash()
+        assert base.spec_hash() == base.with_(backend="auto").spec_hash()
 
     def test_context_hash_is_figure_agnostic(self):
         a = tiny_spec("fig12a")
@@ -189,6 +189,65 @@ class TestArtifactStore:
         path.write_text(json.dumps(attach_checksum(payload)))
         with pytest.raises(ValueError, match="format version"):
             store.load(spec)
+
+    def test_artifact_from_the_process_backend_era_is_a_cache_hit(
+        self, tmp_path, capsys
+    ):
+        """A ``result.json`` written while specs still carried
+        ``max_workers`` and a ``process`` backend loads as a cache hit:
+        the retired field is dropped and the backend reads as lockstep."""
+        payload = {
+            "data": {
+                "num_videos": 16,
+                "rows": [{"genre": "Sports", "length": "3:40",
+                          "name": "Basket1", "source": "LIVE-MOBILE"}],
+            },
+            "experiment": "table1",
+            "format_version": 1,
+            "meta": {
+                "backend": "process",
+                "duration_s": 5.8e-05,
+                "environment": {"cpu_count": 2, "platform": "Linux",
+                                "python": "3.11.7"},
+                "fault_log": {
+                    "pickle_failures": 0, "pool_rebuilds": 0,
+                    "quarantined": 0, "retries": 0, "serial_fallbacks": 0,
+                    "timeouts": 0, "wall_clock_lost_s": 0.0,
+                    "worker_crashes": 0,
+                },
+                "figures": ["Table 1"],
+                "format_version": 1,
+                "git_revision": "c568eddae741177ac0631565f78be81591ea20a9",
+                "scale": "tiny",
+                "seed": 3,
+                "started_at": "2026-10-17T14:18:15+00:00",
+                "trained_agent_sources": {},
+                "wall_time_s": 5.8e-05,
+            },
+            "spec": {
+                "backend": "process", "checkpoint_fingerprint": None,
+                "checkpoint_root": None, "experiment": "table1",
+                "include_pensieve": None, "max_workers": 2, "params": {},
+                "scale": "tiny", "seed": 3,
+            },
+            "spec_hash": "5afb1c6c42bec7ad",
+        }
+        spec = tiny_spec("table1", seed=3)
+        assert spec.spec_hash() == payload["spec_hash"]
+        store = ArtifactStore(tmp_path)
+        directory = store.path_for(spec)
+        directory.mkdir(parents=True)
+        (directory / "result.json").write_text(
+            json.dumps(attach_checksum(payload), indent=2, sort_keys=True)
+        )
+        result = run(spec, store=store)
+        assert result.cache_hit
+        assert result.data == payload["data"]  # served, not recomputed
+        assert result.spec.backend == "lockstep"
+        argv = ["run", "table1", "--scale", "tiny", "--seed", "3",
+                "--results", str(tmp_path)]
+        assert cli_main(argv) == 0
+        assert "cached" in capsys.readouterr().out
 
     def test_entries_and_find(self, tmp_path):
         store = ArtifactStore(tmp_path)
@@ -407,15 +466,12 @@ class TestDeterminism:
         b = run(tiny_spec("fig12a", seed=14, **kwargs))
         assert a.data_json() != b.data_json()
 
-    @pytest.mark.slow
-    def test_serial_and_process_backends_are_bit_identical(self, tmp_path):
+    def test_serial_and_lockstep_backends_are_bit_identical(self, tmp_path):
         kwargs = dict(checkpoint_root=str(tmp_path / "no-checkpoints"))
         serial = run(tiny_spec("fig12a", backend="serial", **kwargs))
-        pooled = run(
-            tiny_spec("fig12a", backend="process", max_workers=2, **kwargs)
-        )
-        assert serial.data_json() == pooled.data_json()
-        assert serial.spec_hash == pooled.spec_hash
+        lockstep = run(tiny_spec("fig12a", backend="lockstep", **kwargs))
+        assert serial.data_json() == lockstep.data_json()
+        assert serial.spec_hash == lockstep.spec_hash
 
 
 class TestCLI:
@@ -466,13 +522,23 @@ class TestCLI:
     def test_workers_rejected_off_the_process_backend(
         self, command, backend, capsys
     ):
+        """``--workers`` sized the retired process pool; every backend
+        left runs in process, so argparse refuses the flag outright."""
         argv = [command] + (["table1"] if command != "train" else [])
         with pytest.raises(SystemExit) as exc:
             cli_main(argv + ["--backend", backend, "--workers", "2"])
         assert exc.value.code == 2
-        assert "--workers applies only to --backend process" in (
+        assert "unrecognized arguments: --workers 2" in (
             capsys.readouterr().err
         )
+
+    @pytest.mark.parametrize("command", ["run", "train", "profile"])
+    def test_process_backend_is_not_a_choice(self, command, capsys):
+        argv = [command] + (["table1"] if command != "train" else [])
+        with pytest.raises(SystemExit) as exc:
+            cli_main(argv + ["--backend", "process"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'process'" in capsys.readouterr().err
 
     def test_report_missing_target_fails(self, tmp_path, capsys):
         code = cli_main(

@@ -371,8 +371,8 @@ class TestDecisionService:
             return entry, offline, runner, service
 
         entry, offline, runner, service = asyncio.run(scenario())
-        assert runner is not None and runner._pool is None
-        assert service._runner is None  # released through __exit__
+        assert runner is not None
+        assert service._runner is None  # released by close()
         assert np.array_equal(
             entry.result.rendered.levels, offline.rendered.levels
         )
