@@ -15,7 +15,7 @@ Fugu's trained transmission-time predictor.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Tuple
 
 from repro.abr.base import ABRAlgorithm, Decision, PlayerObservation
 from repro.abr.planner import enumerate_level_sequences, evaluate_candidates
@@ -66,10 +66,19 @@ class FuguABR(ABRAlgorithm):
     def reset(self) -> None:
         self.predictor.reset()
 
+    def plan_scenarios(
+        self, observation: PlayerObservation
+    ) -> List[Tuple[float, float]]:
+        """The full ``(throughput, probability)`` error distribution.
+
+        Advances the predictor, so it runs exactly once per decision.
+        """
+        return self.predictor.predict_distribution(observation)
+
     def decide(self, observation: PlayerObservation) -> Decision:
         """Maximise expected plan quality over the throughput distribution."""
         horizon = min(self.horizon, observation.horizon)
-        scenarios = self.predictor.predict_distribution(observation)
+        scenarios = self.plan_scenarios(observation)
         candidates = enumerate_level_sequences(
             observation.ladder.num_levels,
             horizon,

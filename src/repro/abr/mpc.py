@@ -9,7 +9,7 @@ implementation.
 
 from __future__ import annotations
 
-from typing import Optional
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -63,11 +63,20 @@ class ModelPredictiveABR(ABRAlgorithm):
     def reset(self) -> None:
         self.predictor.reset()
 
+    def plan_scenarios(
+        self, observation: PlayerObservation
+    ) -> List[Tuple[float, float]]:
+        """The one conservative scenario, ``predicted / (1 + discount)``.
+
+        Advances the predictor, so it runs exactly once per decision.
+        """
+        predicted = self.predictor.predict(observation)
+        return [(predicted / (1.0 + self.robustness_discount), 1.0)]
+
     def decide(self, observation: PlayerObservation) -> Decision:
         """Plan over the horizon and return the first step's level."""
         horizon = min(self.horizon, observation.horizon)
-        predicted = self.predictor.predict(observation)
-        conservative = predicted / (1.0 + self.robustness_discount)
+        scenarios = self.plan_scenarios(observation)
         candidates = enumerate_level_sequences(
             observation.ladder.num_levels,
             horizon,
@@ -78,7 +87,7 @@ class ModelPredictiveABR(ABRAlgorithm):
         evaluation = evaluate_candidates(
             observation,
             candidates,
-            throughput_scenarios=[(conservative, 1.0)],
+            throughput_scenarios=scenarios,
             quality_model=self.quality_model,
             vectorized=self.use_fast_planner,
         )

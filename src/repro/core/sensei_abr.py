@@ -16,11 +16,12 @@ not empty — so quality can be shifted from low- to high-sensitivity chunks.
 
 from __future__ import annotations
 
-from typing import Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from repro.abr.base import ABRAlgorithm, Decision, PlayerObservation
+from repro.abr.fugu import FuguABR
 from repro.abr.pensieve import PensieveABR, PensieveConfig
 from repro.abr.planner import enumerate_level_sequences, evaluate_candidates
 from repro.abr.throughput import ErrorDistributionPredictor
@@ -29,6 +30,10 @@ from repro.utils.validation import require
 
 #: Rebuffering durations SENSEI may schedule at a chunk boundary (§5.2).
 DEFAULT_STALL_OPTIONS_S = (0.0, 1.0, 2.0)
+
+#: A proactive stall only pays when some later chunk of the horizon is this
+#: much more sensitive than the next one.
+WEIGHT_SHIFT_FACTOR = 1.05
 
 
 class SenseiFuguABR(ABRAlgorithm):
@@ -87,16 +92,21 @@ class SenseiFuguABR(ABRAlgorithm):
         self.stall_risk_threshold_s = float(stall_risk_threshold_s)
         self.max_total_proactive_stall_s = float(max_total_proactive_stall_s)
         self.use_fast_planner = bool(use_fast_planner)
-        self._proactive_spent_s = 0.0
+        #: Proactive stall seconds this session has spent, as the
+        #: one-session budget array the stall gate updates in place.
+        self.proactive_spent_s = np.zeros(1)
 
     def reset(self) -> None:
         self.predictor.reset()
-        self._proactive_spent_s = 0.0
+        self.proactive_spent_s = np.zeros(1)
+
+    #: SENSEI-Fugu plans over Fugu's throughput-error distribution.
+    plan_scenarios = FuguABR.plan_scenarios
 
     def decide(self, observation: PlayerObservation) -> Decision:
         """Plan with the sensitivity-weighted objective (Eq. 4)."""
         horizon = min(self.horizon, observation.horizon)
-        scenarios = self.predictor.predict_distribution(observation)
+        scenarios = self.plan_scenarios(observation)
         candidates = enumerate_level_sequences(
             observation.ladder.num_levels,
             horizon,
@@ -104,55 +114,134 @@ class SenseiFuguABR(ABRAlgorithm):
             start_level=observation.last_level,
             use_cache=self.use_fast_planner,
         )
-        evaluation = evaluate_candidates(
-            observation,
-            candidates,
-            throughput_scenarios=scenarios,
-            quality_model=self.quality_model,
-            weights=observation.upcoming_weights,
-            stall_options_s=(0.0,),
-            vectorized=self.use_fast_planner,
-        )
-        # The new action (proactive rebuffering) is only worth considering
-        # when a stall is likely anyway, shifting it to the present (lower
-        # sensitivity) moment actually helps, the buffer can absorb it, and
-        # the per-session stall budget is not exhausted.
-        weights_ahead = observation.upcoming_weights[:horizon]
-        shifting_helps = bool(
-            weights_ahead.size > 1
-            and float(np.max(weights_ahead[1:])) > float(weights_ahead[0]) * 1.05
-        )
-        stall_is_plausible = (
-            evaluation.expected_rebuffer_s >= self.stall_risk_threshold_s
-            and observation.buffer_s >= self.min_stall_buffer_s
-            and shifting_helps
-            and self._proactive_spent_s < self.max_total_proactive_stall_s
-            and len(self.stall_options_s) > 1
-        )
-        if stall_is_plausible:
-            remaining_budget = (
-                self.max_total_proactive_stall_s - self._proactive_spent_s
-            )
-            allowed_stalls = tuple(
-                s for s in self.stall_options_s if s <= remaining_budget + 1e-9
-            )
-            with_stalls = evaluate_candidates(
+
+        def plan(stall_options_s):
+            return evaluate_candidates(
                 observation,
                 candidates,
                 throughput_scenarios=scenarios,
                 quality_model=self.quality_model,
                 weights=observation.upcoming_weights,
-                stall_options_s=allowed_stalls,
+                stall_options_s=stall_options_s,
                 vectorized=self.use_fast_planner,
             )
-            if with_stalls.best_score > evaluation.best_score:
-                evaluation = with_stalls
-        if evaluation.best_stall_s > 0:
-            self._proactive_spent_s += evaluation.best_stall_s
-        return Decision(
-            level=evaluation.best_level,
-            proactive_stall_s=evaluation.best_stall_s,
+
+        spent = self.proactive_spent_s
+        pre_gate = self.stall_pre_gate(
+            np.array([observation.buffer_s]),
+            spent,
+            observation.upcoming_weights[None, :horizon],
         )
+        evaluation = plan((0.0,))
+        opened, stall_sets = self.stall_sets(
+            pre_gate, np.array([evaluation.expected_rebuffer_s]), spent
+        )
+        levels, stalls = self.adopt_stalls(
+            spent,
+            _outcomes([evaluation]),
+            opened,
+            _outcomes([plan(stall_set) for stall_set in stall_sets]),
+        )
+        return Decision(level=int(levels[0]), proactive_stall_s=float(stalls[0]))
+
+    # ----------------------------------------------------------- stall gate
+    #
+    # The proactive stall (§5.2) is considered only when a stall is likely
+    # anyway, the buffer can absorb it, a later chunk is more sensitive and
+    # the session's stall budget is not spent; it is kept only when it
+    # strictly beats the no-stall plan.  The three steps below are that
+    # gate, written once over arrays of N sessions: ``decide`` runs them
+    # with N=1, the lockstep driver with a shard's live rows and the
+    # decision service once per request.
+
+    def stall_pre_gate(
+        self,
+        buffer_s: np.ndarray,
+        spent_s: np.ndarray,
+        weights: np.ndarray,
+    ) -> np.ndarray:
+        """Sessions that may consider a stall, before any planning.
+
+        ``weights`` is ``(N, H)``: each session's upcoming weights over its
+        planning horizon, padded with ``-inf`` past a horizon shorter than
+        ``H``.  The gate needs more than one stall option, a buffer at or
+        above the floor, an unspent budget with at least one option still
+        affordable, and a later chunk more sensitive than the next one by
+        :data:`WEIGHT_SHIFT_FACTOR`.
+        """
+        if len(self.stall_options_s) < 2 or weights.shape[1] < 2:
+            return np.zeros(buffer_s.shape[0], dtype=bool)
+        gate = (
+            (buffer_s >= self.min_stall_buffer_s)
+            & (spent_s < self.max_total_proactive_stall_s)
+            & (min(self.stall_options_s) <= self._allowance_s(spent_s))
+        )
+        if not gate.any():
+            return gate
+        return gate & (
+            weights[:, 1:].max(axis=1) > weights[:, 0] * WEIGHT_SHIFT_FACTOR
+        )
+
+    def stall_sets(
+        self,
+        pre_gate: np.ndarray,
+        expected_rebuffer_s: np.ndarray,
+        spent_s: np.ndarray,
+    ) -> Tuple[np.ndarray, List[Tuple[float, ...]]]:
+        """Where the gate opens after the no-stall plan, and with what.
+
+        Returns the positions whose no-stall plan predicts at least
+        ``stall_risk_threshold_s`` of rebuffering (among those passing
+        ``pre_gate``), and for each the stall options its remaining
+        budget affords.
+        """
+        opened = np.flatnonzero(
+            pre_gate & (expected_rebuffer_s >= self.stall_risk_threshold_s)
+        )
+        if not opened.size:
+            return opened, []
+        return opened, [
+            tuple(s for s in self.stall_options_s if s <= allowance)
+            for allowance in self._allowance_s(spent_s[opened])
+        ]
+
+    def _allowance_s(self, spent_s: np.ndarray) -> np.ndarray:
+        """The longest stall each session's remaining budget affords."""
+        return self.max_total_proactive_stall_s - spent_s + 1e-9
+
+    def adopt_stalls(
+        self,
+        spent_s: np.ndarray,
+        no_stall: Sequence[Sequence],
+        opened: np.ndarray,
+        with_stalls: Sequence[Sequence],
+    ) -> Tuple[np.ndarray, np.ndarray]:
+        """The final ``(levels, stalls)`` of N sessions.
+
+        ``no_stall`` is the ``(levels, stalls, scores)`` of the no-stall
+        plans of all N sessions, ``with_stalls`` those of the re-plans of
+        the ``opened`` sessions over their stall sets.  A re-plan wins only
+        on a strictly higher score; the chosen stalls are added to
+        ``spent_s`` in place.
+        """
+        levels = np.array(no_stall[0], dtype=int)
+        stalls = np.array(no_stall[1], dtype=float)
+        if opened.size:
+            better = np.asarray(with_stalls[2]) > np.asarray(no_stall[2])[opened]
+            levels[opened] = np.where(better, with_stalls[0], levels[opened])
+            stalls[opened] = np.where(better, with_stalls[1], stalls[opened])
+        spent_s += stalls
+        return levels, stalls
+
+
+def _outcomes(evaluations) -> Tuple[list, list, list]:
+    """``(levels, stalls, scores)`` of plan evaluations, as the gate reads
+    them."""
+    return (
+        [evaluation.best_level for evaluation in evaluations],
+        [evaluation.best_stall_s for evaluation in evaluations],
+        [evaluation.best_score for evaluation in evaluations],
+    )
 
 
 class SenseiPensieveABR(PensieveABR):

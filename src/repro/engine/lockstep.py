@@ -349,7 +349,7 @@ def _run_shard(
             # kernel's own time lands under the nested ``planner.kernel``
             # span recorded inside evaluate_candidates_batch.
             with trace_span("engine.lockstep.plan"):
-                _execute_plan_requests(requests, shard)
+                _execute_plan_requests(requests)
         for positions, finish in finishers:
             group_levels, group_stalls = finish()
             levels[positions] = group_levels
@@ -364,39 +364,63 @@ def _run_shard(
     ]
 
 
+#: Batch-eligible ABR kinds: which batched decide path reproduces an ABR's
+#: ``decide`` exactly.  Anything :data:`KIND_GENERIC` (rate-based,
+#: subclasses that may override ``decide``, the seed reference planners)
+#: decides one session at a time, which is trivially serial-identical.
+KIND_GENERIC = "generic"
+KIND_MPC = "mpc"
+KIND_FUGU = "fugu"
+KIND_SENSEI = "sensei"
+KIND_RL = "rl"
+
+#: The exact planner types with the fast planner, and each one's stock
+#: predictor type.
+_PLANNER_TYPES = {
+    ModelPredictiveABR: (KIND_MPC, HarmonicMeanPredictor),
+    FuguABR: (KIND_FUGU, ErrorDistributionPredictor),
+    SenseiFuguABR: (KIND_SENSEI, ErrorDistributionPredictor),
+}
+
+
+def planner_kind(abr: ABRAlgorithm) -> str:
+    """Which batched decide path reproduces ``abr.decide`` exactly.
+
+    Exact-type checks, since a subclass may override ``decide``: the three
+    planner classes with their stock predictor and the fast planner
+    enabled, and the stock Pensieve-family policies (:data:`KIND_RL`,
+    greedy or not); everything else is :data:`KIND_GENERIC`.
+    """
+    if _is_batched_rl(abr):
+        return KIND_RL
+    entry = _PLANNER_TYPES.get(type(abr))
+    if (
+        entry is not None
+        and getattr(abr, "use_fast_planner", False)
+        and type(abr.predictor) is entry[1]
+    ):
+        return entry[0]
+    return KIND_GENERIC
+
+
 def _driver_for(
     abr: ABRAlgorithm, shard: ShardState, orders: Sequence["WorkOrder"] = (),
 ):
     """The most batched driver that still reproduces ``abr.decide`` exactly.
 
-    Exact-type checks: a subclass may override ``decide``, so anything not
-    literally one of the three planner classes (with its stock predictor
-    and the fast planner enabled), one of the two Pensieve RL classes
-    (with the stock actor–critic agent) or BBA takes the generic
+    BBA (exact type) has its own driver; otherwise :func:`planner_kind`
+    picks the planner or RL driver, and :data:`KIND_GENERIC` takes the
     per-session path.  ``orders`` carries the shard's work orders so the
     RL driver can read per-row exploration seeds.
     """
     if type(abr) is BufferBasedABR:
         return _BBADriver(abr, shard)
-    if _is_batched_rl(abr):
+    kind = planner_kind(abr)
+    if kind == KIND_RL:
         return _RLDriver(abr, shard, orders)
-    if getattr(abr, "use_fast_planner", False):
-        if (
-            type(abr) is ModelPredictiveABR
-            and type(abr.predictor) is HarmonicMeanPredictor
-        ):
-            return _MPCDriver(abr, shard)
-        if (
-            type(abr) is FuguABR
-            and type(abr.predictor) is ErrorDistributionPredictor
-        ):
-            return _FuguDriver(abr, shard)
-        if (
-            type(abr) is SenseiFuguABR
-            and type(abr.predictor) is ErrorDistributionPredictor
-        ):
-            return _SenseiFuguDriver(abr, shard)
-    return _PerSessionDriver(abr, shard)
+    if kind == KIND_GENERIC:
+        return _PerSessionDriver(abr, shard)
+    return _PLANNER_DRIVERS[kind](abr, shard)
 
 
 # ---------------------------------------------------------------- drivers
@@ -706,72 +730,141 @@ class _ErrorDistributionState:
         np.add.at(self.bin_counts, (recorded, indices), 1)
 
 
+class _PlanOutputs:
+    """Per-session kernel outputs that plan requests scatter into."""
+
+    __slots__ = ("levels", "stalls", "scores", "rebuffer")
+
+    def __init__(self, count: int) -> None:
+        self.levels = np.zeros(count, dtype=int)
+        self.stalls = np.zeros(count)
+        self.scores = np.zeros(count)
+        self.rebuffer = np.zeros(count)
+
+
 class _PlanRequest:
-    """One pending kernel evaluation emitted by a planner driver.
+    """One pending kernel evaluation: sessions sharing one candidate tree.
 
     Requests whose :attr:`key` matches plan over the *same* memoised
-    candidate tree with the same stall options, scenario count, quality
-    coefficients and weights mode; the shard coordinator concatenates
-    them — across ABR instances — into one kernel call and scatters the
-    per-session results back through :meth:`scatter`.  Merging is
-    bit-safe because the kernel is elementwise over the session axis.
+    candidate tree (horizon, ladder, start level, ``max_step``) with the
+    same stall set, scenario count, quality coefficients and weights mode;
+    :func:`_execute_plan_requests` concatenates them — across ABR
+    instances — into one kernel call and scatters each session's results
+    into :attr:`out` at :attr:`positions`.  Merging is bit-safe because
+    the kernel is elementwise over the session axis.
 
-    A request carries its planner inputs either as *member indices* into
-    the shard's SoA matrices (the grid drivers' form: ``members`` plus the
-    shard passed to :func:`_execute_plan_requests`) or as *direct arrays*
-    (``sizes``/``quality``/``weights``/``chunk_duration``/
-    ``buffer_capacity``, the grid-free form :func:`plan_batch` builds from
-    standalone observations).  The kernel call is identical either way.
+    Planner inputs are direct arrays, one row per session, gathered by
+    whoever emits the request: the lockstep drivers slice the shard's SoA
+    matrices, :func:`plan_batch` stacks standalone observations.
+    ``weights`` is None for the unweighted objective; ``chunk_duration``
+    and ``buffer_capacity`` may be scalars shared by every session.
     """
 
     __slots__ = (
-        "key", "start_level", "max_level_step", "bitrates", "stall_options",
-        "quality_model", "members", "positions", "buffer_s", "last_levels",
-        "scenario_tputs", "scenario_probs", "use_weights", "need_rebuffer",
-        "levels_out", "scores_out", "rebuffer_out", "stalls_out",
-        "sizes", "quality", "weights", "chunk_duration", "buffer_capacity",
+        "key", "horizon", "start_level", "max_level_step", "stall_options",
+        "bitrates", "quality_model", "positions", "buffer_s", "last_levels",
+        "scenario_tputs", "scenario_probs", "sizes", "quality", "weights",
+        "chunk_duration", "buffer_capacity", "need_rebuffer", "out",
     )
 
     def __init__(
-        self, *, key, start_level, max_level_step, bitrates, stall_options,
-        quality_model, members, positions, buffer_s, last_levels,
-        scenario_tputs, scenario_probs, use_weights, need_rebuffer,
-        levels_out, scores_out, rebuffer_out, stalls_out=None,
-        sizes=None, quality=None, weights=None, chunk_duration=None,
-        buffer_capacity=None,
+        self, *, key, start_level, bitrates, quality_model, positions,
+        buffer_s, last_levels, scenario_tputs, scenario_probs, sizes,
+        quality, weights, chunk_duration, buffer_capacity, need_rebuffer,
+        out,
     ) -> None:
         self.key = key
+        self.horizon = key[0]
         self.start_level = start_level
-        self.max_level_step = max_level_step
+        self.max_level_step = key[3]
+        self.stall_options = key[4]
         self.bitrates = bitrates
-        self.stall_options = stall_options
         self.quality_model = quality_model
-        self.members = members
         self.positions = positions
         self.buffer_s = buffer_s
         self.last_levels = last_levels
         self.scenario_tputs = scenario_tputs
         self.scenario_probs = scenario_probs
-        self.use_weights = use_weights
-        self.need_rebuffer = need_rebuffer
-        self.levels_out = levels_out
-        self.scores_out = scores_out
-        self.rebuffer_out = rebuffer_out
-        self.stalls_out = stalls_out
         self.sizes = sizes
         self.quality = quality
         self.weights = weights
         self.chunk_duration = chunk_duration
         self.buffer_capacity = buffer_capacity
+        self.need_rebuffer = need_rebuffer
+        self.out = out
 
     def scatter(self, levels, stalls, scores, rebuffer) -> None:
-        self.levels_out[self.positions] = levels
-        if self.stalls_out is not None:
-            self.stalls_out[self.positions] = stalls
-        if self.scores_out is not None:
-            self.scores_out[self.positions] = scores
-        if self.rebuffer_out is not None:
-            self.rebuffer_out[self.positions] = rebuffer
+        out = self.out
+        positions = self.positions
+        out.levels[positions] = levels
+        out.stalls[positions] = stalls
+        out.scores[positions] = scores
+        out.rebuffer[positions] = rebuffer
+
+
+#: Subtree groups smaller than this are merged into one masked-union call:
+#: below it the per-call overhead outweighs the extra (masked-out)
+#: candidates the union tree evaluates.  The arena kernel's per-call
+#: dispatch cost dominates any group below a full cache block (a masked
+#: union call over 295 candidates costs barely more than an exact
+#: 185-candidate subtree call), so the merge threshold sits at one arena
+#: block for the widest common shape (5 levels x horizon 4 x 5 scenarios
+#: -> ~23 sessions, :func:`kernel_block_sessions`): anything smaller is
+#: cheaper evaluated inside the union, and oversized unions get re-sliced
+#: to the block anyway.  Selection is unchanged either way — the mask
+#: filters the union tree down to each session's exact subtree, ties
+#: included.
+MERGE_BELOW = 24
+
+#: Kernel calls are capped at no fewer than this many sessions (the floor
+#: of :func:`kernel_block_sessions`); larger buckets are sliced by
+#: :func:`_execute_plan_requests`, after cross-family merging.  The
+#: kernel's working set per session is a few dozen KB, and once a call
+#: outgrows the per-core cache its per-session cost jumps several-fold —
+#: two half-size calls are then cheaper than one.  ``None`` disables
+#: slicing.
+SPLIT_ABOVE = 12
+
+
+def _tree_groups(
+    keys: Sequence[tuple],
+) -> Dict[tuple, Tuple[Optional[int], List[int]]]:
+    """Kernel-call groups: ``key -> (start_level, positions into keys)``.
+
+    ``keys[i]`` is session ``i``'s request key with its previously played
+    level in the start slot: ``(horizon, ladder, last_level,
+    max_level_step, stall_options, num_scenarios, coefficients,
+    use_weights)``.  Sessions are grouped by candidate-tree signature —
+    the previous level matters only under a ``max_step`` restriction —
+    which evaluates each group's exact (smallest) subtree.  Groups under
+    :data:`MERGE_BELOW` sessions are merged per remaining key into one
+    evaluation of the *unrestricted-start* tree with ``start_level ==
+    None``; the kernel then masks each merged session down to its own
+    subtree, which is an order-preserving first-level filter of the union
+    tree, so selection — ties included — matches the per-session tree
+    exactly.
+    """
+    subtree: Dict[tuple, List[int]] = {}
+    for position, key in enumerate(keys):
+        if key[2] < 0 or key[3] is None:
+            key = key[:2] + (-1,) + key[3:]  # one tree regardless of history
+        subtree.setdefault(key, []).append(position)
+    groups: Dict[tuple, Tuple[Optional[int], List[int]]] = {}
+    for key, positions in subtree.items():
+        if len(positions) >= MERGE_BELOW:
+            groups[key] = (key[2] if key[2] >= 0 else None, positions)
+        else:
+            merged_key = key[:2] + ("merged",) + key[3:]
+            groups.setdefault(merged_key, (None, []))[1].extend(positions)
+    return groups
+
+
+def _coeff_key(quality_model) -> tuple:
+    coeffs = quality_model.coefficients
+    return (
+        coeffs.intercept, coeffs.quality_weight,
+        coeffs.rebuffer_weight, coeffs.switch_weight,
+    )
 
 
 #: Shared all-ones weight matrices per shape (the kernel never writes into
@@ -787,106 +880,94 @@ def _uniform_weights(num_sessions: int, horizon: int) -> np.ndarray:
     return weights
 
 
-def _execute_plan_requests(
-    requests: List[_PlanRequest], shard: Optional[ShardState] = None
-) -> None:
+def _merged(bucket: List[_PlanRequest]) -> _PlanRequest:
+    """One request holding a bucket's inputs, concatenated along the
+    session axis in bucket order; a scalar every request shares stays a
+    scalar."""
+    if len(bucket) == 1:
+        return bucket[0]
+    counts = [r.positions.size for r in bucket]
+
+    def joined(field: str):
+        values = [getattr(r, field) for r in bucket]
+        first = values[0]
+        if first is None or (
+            isinstance(first, float) and all(v == first for v in values)
+        ):
+            return first
+        return np.concatenate([
+            np.broadcast_to(value, (count,) + np.shape(value)[1:])
+            for value, count in zip(values, counts)
+        ])
+
+    first = bucket[0]
+    return _PlanRequest(
+        key=first.key,
+        start_level=first.start_level,
+        bitrates=first.bitrates,
+        quality_model=first.quality_model,
+        positions=None,
+        buffer_s=joined("buffer_s"),
+        last_levels=joined("last_levels"),
+        scenario_tputs=joined("scenario_tputs"),
+        scenario_probs=joined("scenario_probs"),
+        sizes=joined("sizes"),
+        quality=joined("quality"),
+        # The weights mode is part of the key: a bucket is uniformly
+        # weighted or uniformly unweighted.
+        weights=joined("weights"),
+        chunk_duration=joined("chunk_duration"),
+        buffer_capacity=joined("buffer_capacity"),
+        need_rebuffer=any(r.need_rebuffer for r in bucket),
+        out=None,
+    )
+
+
+def _execute_plan_requests(requests: List[_PlanRequest]) -> None:
     """Run every pending plan request, merging compatible ones.
 
-    Requests are bucketed by :attr:`_PlanRequest.key`; each bucket is one
-    candidate tree evaluated for the concatenation of its requests'
-    sessions, sliced into cache-blocked tiles: the per-call session count
-    comes from :func:`repro.abr.planner.kernel_block_sessions`, which
-    sizes the kernel's working set to the L2 target (never below the
-    pre-arena :attr:`_PlannerDriverBase.SPLIT_ABOVE` cap).  Because the
-    kernel is elementwise over the session axis, every session's outputs
-    are bitwise those of evaluating its own request alone — whatever the
-    tile size.
-
-    With ``shard`` the per-session planner inputs are sliced from the
-    shard's SoA matrices through each request's ``members``; without it
-    (the :func:`plan_batch` path) every request carries its inputs as
-    direct arrays.  Both forms feed the kernel identical values.
+    The one place the lockstep engine calls the planner kernel.  Requests
+    are bucketed by :attr:`_PlanRequest.key`; each bucket is one candidate
+    tree evaluated for the concatenation of its requests' sessions, sliced
+    into cache-blocked tiles: the per-call session count comes from
+    :func:`repro.abr.planner.kernel_block_sessions`, which sizes the
+    kernel's working set to the L2 target (never below
+    :data:`SPLIT_ABOVE`).  Because the kernel is elementwise over the
+    session axis, every session's outputs are bitwise those of evaluating
+    its own request alone — whatever the tile size.
     """
     buckets: Dict[tuple, List[_PlanRequest]] = {}
     for request in requests:
         buckets.setdefault(request.key, []).append(request)
-    chunk = shard.step_index if shard is not None else 0
-    split_above = _PlannerDriverBase.SPLIT_ABOVE
     for bucket in buckets.values():
-        first = bucket[0]
-        if len(bucket) == 1:
-            members = first.members
-            buffer_s = first.buffer_s
-            last_levels = first.last_levels
-            scenario_tputs = first.scenario_tputs
-            scenario_probs = first.scenario_probs
-        else:
-            members = np.concatenate([r.members for r in bucket])
-            buffer_s = np.concatenate([r.buffer_s for r in bucket])
-            last_levels = np.concatenate([r.last_levels for r in bucket])
-            scenario_tputs = np.vstack([r.scenario_tputs for r in bucket])
-            scenario_probs = np.vstack([r.scenario_probs for r in bucket])
-        horizon = first.key[0]
-        candidates = enumerate_level_sequences(
-            first.bitrates.size, horizon, max_step=first.max_level_step,
-            start_level=first.start_level,
+        merged = _merged(bucket)
+        horizon = merged.horizon
+        last_levels = merged.last_levels
+        count = last_levels.size
+        weights = (
+            merged.weights if merged.weights is not None
+            else _uniform_weights(count, horizon)
         )
-        if first.start_level is not None or first.max_level_step is None:
-            candidate_mask = None
+        durations = merged.chunk_duration
+        capacity = merged.buffer_capacity
+        candidates = enumerate_level_sequences(
+            merged.bitrates.size, horizon, max_step=merged.max_level_step,
+            start_level=merged.start_level,
+        )
+        if merged.start_level is not None or merged.max_level_step is None:
+            candidate_mask = None  # the tree is already each session's own
         else:
             candidate_mask = (last_levels[:, None] < 0) | (
                 np.abs(candidates[None, :, 0] - last_levels[:, None])
-                <= first.max_level_step
-            )
-        # use_weights is part of the request key, so a bucket is uniformly
-        # weighted or uniformly unweighted.
-        use_weights = bucket[0].use_weights
-        need_rebuffer = any(r.need_rebuffer for r in bucket)
-        if shard is not None:
-            sizes = shard.sizes_all[members, chunk:chunk + horizon]
-            quality = shard.quality_all[members, chunk:chunk + horizon]
-            if use_weights:
-                weights = shard.weights_all[members, chunk:chunk + horizon]
-            else:
-                weights = _uniform_weights(members.size, horizon)
-            durations = (
-                shard.chunk_duration_shared
-                if shard.chunk_duration_shared is not None
-                else shard.chunk_duration[members]
-            )
-            capacity = shard.buffer_capacity
-        else:
-            if len(bucket) == 1:
-                sizes = first.sizes
-                quality = first.quality
-                direct_weights = first.weights
-                durations = first.chunk_duration
-                capacity = first.buffer_capacity
-            else:
-                sizes = np.concatenate([r.sizes for r in bucket])
-                quality = np.concatenate([r.quality for r in bucket])
-                direct_weights = (
-                    np.concatenate([r.weights for r in bucket])
-                    if use_weights else None
-                )
-                durations = np.concatenate(
-                    [r.chunk_duration for r in bucket]
-                )
-                capacity = np.concatenate(
-                    [r.buffer_capacity for r in bucket]
-                )
-            weights = (
-                direct_weights if use_weights
-                else _uniform_weights(members.size, horizon)
+                <= merged.max_level_step
             )
 
-        count = members.size
         block = kernel_block_sessions(
-            first.bitrates.size, horizon, first.max_level_step,
-            scenario_tputs.shape[1],
-            floor=split_above if split_above is not None else count,
+            merged.bitrates.size, horizon, merged.max_level_step,
+            merged.scenario_tputs.shape[1],
+            floor=SPLIT_ABOVE if SPLIT_ABOVE is not None else count,
         )
-        slice_size = count if split_above is None else min(count, block)
+        slice_size = count if SPLIT_ABOVE is None else min(count, block)
         slices = -(-count // slice_size)
         slice_size = -(-count // slices)
         levels = np.empty(count, dtype=int)
@@ -897,16 +978,16 @@ def _execute_plan_requests(
             stop = min(count, start + slice_size)
             batch = evaluate_candidates_batch(
                 candidates=candidates,
-                sizes=sizes[start:stop],
-                quality=quality[start:stop],
+                sizes=merged.sizes[start:stop],
+                quality=merged.quality[start:stop],
                 weights=weights[start:stop],
-                buffer_s=buffer_s[start:stop],
+                buffer_s=merged.buffer_s[start:stop],
                 last_level=last_levels[start:stop],
-                scenario_tputs=scenario_tputs[start:stop],
-                scenario_probs=scenario_probs[start:stop],
-                bitrates_kbps=first.bitrates,
-                quality_model=first.quality_model,
-                stall_options_s=first.stall_options,
+                scenario_tputs=merged.scenario_tputs[start:stop],
+                scenario_probs=merged.scenario_probs[start:stop],
+                bitrates_kbps=merged.bitrates,
+                quality_model=merged.quality_model,
+                stall_options_s=merged.stall_options,
                 chunk_duration_s=(
                     durations if isinstance(durations, float)
                     else durations[start:stop]
@@ -919,8 +1000,8 @@ def _execute_plan_requests(
                     None if candidate_mask is None
                     else candidate_mask[start:stop]
                 ),
-                need_expected_rebuffer=need_rebuffer,
-                weights_uniform=not use_weights,
+                need_expected_rebuffer=merged.need_rebuffer,
+                weights_uniform=merged.weights is None,
             )
             levels[start:stop] = batch.best_level
             stalls[start:stop] = batch.best_stall_s
@@ -928,7 +1009,7 @@ def _execute_plan_requests(
             rebuffer[start:stop] = batch.expected_rebuffer_s
         offset = 0
         for r in bucket:
-            stop = offset + r.members.size
+            stop = offset + r.positions.size
             r.scatter(
                 levels[offset:stop], stalls[offset:stop],
                 scores[offset:stop], rebuffer[offset:stop],
@@ -991,11 +1072,7 @@ class PlanJob:
             observation.ladder.bitrates_kbps, dtype=float
         )
         self.ladder_key = tuple(self.bitrates.tolist())
-        coeffs = quality_model.coefficients
-        self.coeff_key = (
-            coeffs.intercept, coeffs.quality_weight,
-            coeffs.rebuffer_weight, coeffs.switch_weight,
-        )
+        self.coeff_key = _coeff_key(quality_model)
 
 
 class PlanResult:
@@ -1016,68 +1093,43 @@ def plan_batch(jobs: Sequence[PlanJob]) -> List[PlanResult]:
     """Evaluate standalone planner jobs through the batched kernel.
 
     The reusable, grid-free entry point onto the lockstep batch-planning
-    path: jobs are grouped by candidate-tree signature — (horizon, ladder,
-    previously-played level under the ``max_step`` restriction, stall
-    options, scenario count, quality coefficients, weights mode) — with
-    the same :attr:`_PlannerDriverBase.MERGE_BELOW` union-tree merging and
-    :attr:`_PlannerDriverBase.SPLIT_ABOVE` cache-friendliness slicing the
-    shard coordinator applies, then executed by
-    :func:`_execute_plan_requests` with direct per-job arrays instead of
-    shard SoA slices.  Because the kernel is elementwise over the session
-    axis, each job's result is bitwise equal to evaluating it alone — and
-    therefore to the serial ``decide()`` path, which routes through the
-    same kernel with a one-session stack.  This is what lets an online
-    decision service micro-batch requests from unrelated sessions without
-    perturbing any session's decisions.
+    path: jobs are grouped by candidate-tree signature with the same
+    :func:`_tree_groups` the shard drivers use, stacked into
+    :class:`_PlanRequest`\\ s and executed by
+    :func:`_execute_plan_requests`.  Because the kernel is elementwise
+    over the session axis, each job's result is bitwise equal to
+    evaluating it alone — and therefore to the serial ``decide()`` path,
+    which routes through the same kernel with a one-session stack.  This
+    is what lets an online decision service micro-batch requests from
+    unrelated sessions without perturbing any session's decisions.
     """
     if not jobs:
         return []
-    count = len(jobs)
-    levels = np.zeros(count, dtype=int)
-    stalls = np.zeros(count)
-    scores = np.zeros(count)
-    rebuffer = np.zeros(count)
-    subtree: Dict[tuple, List[int]] = {}
-    for position, job in enumerate(jobs):
-        start = int(job.observation.last_level)
-        if job.max_level_step is None or start < 0:
-            start = -1  # one shared tree regardless of history
-        key = (
-            job.horizon, job.ladder_key, start, job.max_level_step,
-            job.stall_options, job.scenario_tputs.size, job.coeff_key,
-            job.use_weights,
+    out = _PlanOutputs(len(jobs))
+    keys = [
+        (
+            job.horizon, job.ladder_key, int(job.observation.last_level),
+            job.max_level_step, job.stall_options, job.scenario_tputs.size,
+            job.coeff_key, job.use_weights,
         )
-        subtree.setdefault(key, []).append(position)
-    groups: Dict[tuple, Tuple[Optional[int], List[int]]] = {}
-    for key, positions in subtree.items():
-        if len(positions) >= _PlannerDriverBase.MERGE_BELOW:
-            start = key[2]
-            groups[key] = (start if start >= 0 else None, positions)
-        else:
-            merged_key = key[:2] + ("merged",) + key[3:]
-            entry = groups.setdefault(merged_key, (None, []))
-            entry[1].extend(positions)
+        for job in jobs
+    ]
     requests: List[_PlanRequest] = []
-    for key, (start_level, positions) in groups.items():
+    for key, (start_level, positions) in _tree_groups(keys).items():
         group = [jobs[position] for position in positions]
+        observations = [job.observation for job in group]
         first = group[0]
         horizon = first.horizon
-        indices = np.asarray(positions, dtype=int)
         requests.append(
             _PlanRequest(
                 key=key,
                 start_level=start_level,
-                max_level_step=first.max_level_step,
                 bitrates=first.bitrates,
-                stall_options=first.stall_options,
                 quality_model=first.quality_model,
-                members=indices,
-                positions=indices,
-                buffer_s=np.array(
-                    [job.observation.buffer_s for job in group]
-                ),
+                positions=np.asarray(positions, dtype=int),
+                buffer_s=np.array([obs.buffer_s for obs in observations]),
                 last_levels=np.array(
-                    [int(job.observation.last_level) for job in group]
+                    [int(obs.last_level) for obs in observations]
                 ),
                 scenario_tputs=np.stack(
                     [job.scenario_tputs for job in group]
@@ -1085,54 +1137,39 @@ def plan_batch(jobs: Sequence[PlanJob]) -> List[PlanResult]:
                 scenario_probs=np.stack(
                     [job.scenario_probs for job in group]
                 ),
-                use_weights=first.use_weights,
-                need_rebuffer=any(job.need_rebuffer for job in group),
-                levels_out=levels,
-                scores_out=scores,
-                rebuffer_out=rebuffer,
-                stalls_out=stalls,
                 sizes=np.stack(
-                    [
-                        job.observation.upcoming_sizes_bytes[:horizon]
-                        for job in group
-                    ]
+                    [obs.upcoming_sizes_bytes[:horizon] for obs in observations]
                 ),
                 quality=np.stack(
-                    [
-                        job.observation.upcoming_quality[:horizon]
-                        for job in group
-                    ]
+                    [obs.upcoming_quality[:horizon] for obs in observations]
                 ),
                 weights=(
-                    np.stack(
-                        [
-                            np.asarray(
-                                job.observation.upcoming_weights,
-                                dtype=float,
-                            )[:horizon]
-                            for job in group
-                        ]
-                    )
+                    np.stack([
+                        np.asarray(obs.upcoming_weights, dtype=float)[:horizon]
+                        for obs in observations
+                    ])
                     if first.use_weights else None
                 ),
                 chunk_duration=np.array(
-                    [job.observation.chunk_duration_s for job in group]
+                    [obs.chunk_duration_s for obs in observations]
                 ),
                 buffer_capacity=np.array(
-                    [job.observation.buffer_capacity_s for job in group]
+                    [obs.buffer_capacity_s for obs in observations]
                 ),
+                need_rebuffer=any(job.need_rebuffer for job in group),
+                out=out,
             )
         )
     with trace_span("engine.lockstep.plan"):
         _execute_plan_requests(requests)
     return [
         PlanResult(
-            level=int(levels[index]),
-            proactive_stall_s=float(stalls[index]),
-            score=float(scores[index]),
-            expected_rebuffer_s=float(rebuffer[index]),
+            level=int(out.levels[index]),
+            proactive_stall_s=float(out.stalls[index]),
+            score=float(out.scores[index]),
+            expected_rebuffer_s=float(out.rebuffer[index]),
         )
-        for index in range(count)
+        for index in range(len(jobs))
     ]
 
 
@@ -1146,18 +1183,18 @@ class _PlannerDriverBase:
     evaluating each group itself, ``begin_round`` emits the groups as
     :class:`_PlanRequest`\\ s; the shard coordinator merges compatible
     requests across every planner family of the shard and runs one 4-D
-    kernel call per merged group.
+    kernel call per merged group.  ``finish()`` then returns the round's
+    ``(levels, proactive_stalls)``.
     """
+
+    #: Whether the plan objective weights chunks by sensitivity.
+    use_weights = False
 
     def __init__(self, abr, shard: ShardState) -> None:
         self.abr = abr
         self.shard = shard
         self.quality_model = abr.quality_model
-        coeffs = abr.quality_model.coefficients
-        self.coeff_key = (
-            coeffs.intercept, coeffs.quality_weight,
-            coeffs.rebuffer_weight, coeffs.switch_weight,
-        )
+        self.coeff_key = _coeff_key(abr.quality_model)
         self.max_level_step = abr.max_level_step
         self.plan_horizon = abr.horizon
         self.chunk_durations = (
@@ -1165,7 +1202,6 @@ class _PlannerDriverBase:
             if shard.chunk_duration_shared is not None
             else shard.chunk_duration
         )
-        self.buffer_capacity = shard.buffer_capacity
         self.obs_horizon = shard.config.observation_horizon
         self.bitrates = [
             np.asarray(encoded.ladder.bitrates_kbps, dtype=float)
@@ -1174,75 +1210,11 @@ class _PlannerDriverBase:
         self.ladder_keys = [
             tuple(bitrates.tolist()) for bitrates in self.bitrates
         ]
-        # Shard-wide (session, chunk, level) matrices: one gather per
-        # kernel call instead of a Python stacking loop.  Zero-padded
-        # rows/levels past a shorter video's end (or a narrower ladder)
-        # are never read — horizons shrink with the chunks remaining,
-        # grouping is by (horizon, ladder), and candidate levels stay
-        # within the group's ladder.  Shared across the shard's drivers.
-        self.sizes_all = shard.sizes_all
-        self.quality_all = shard.quality_all
-        self.weights_all = shard.weights_all
 
     def _histories(self, rows: np.ndarray) -> np.ndarray:
         """(len(rows), samples) throughput histories — rectangular because
         every live session has completed the same number of chunks."""
         return self.shard.throughput_history.matrix(rows)
-
-    def _emit_requests(
-        self,
-        rows: np.ndarray,
-        horizons: List[int],
-        last_levels: np.ndarray,
-        buffer_s: np.ndarray,
-        scenario_tputs: np.ndarray,
-        scenario_probs: np.ndarray,
-        use_weights: bool,
-        need_rebuffer: bool,
-        levels_out: np.ndarray,
-        scores_out: Optional[np.ndarray] = None,
-        rebuffer_out: Optional[np.ndarray] = None,
-    ) -> List[_PlanRequest]:
-        """One :class:`_PlanRequest` per candidate-tree group of ``rows``."""
-        num_scenarios = scenario_tputs.shape[1]
-        requests = []
-        for key, (start_level, positions) in self._plan_groups(
-            rows, horizons, last_levels, split=False
-        ).items():
-            members = rows[positions]
-            requests.append(
-                _PlanRequest(
-                    # use_weights is part of the key: merging weighted and
-                    # unweighted rounds would push the unweighted sessions
-                    # through the kernel's (costlier) weighted path —
-                    # bit-identical, but slower than two separate calls.
-                    key=(
-                        key[0], key[1], start_level, self.max_level_step,
-                        self.stall_options, num_scenarios, self.coeff_key,
-                        use_weights,
-                    ),
-                    start_level=start_level,
-                    max_level_step=self.max_level_step,
-                    bitrates=self.bitrates[members[0]],
-                    stall_options=self.stall_options,
-                    quality_model=self.quality_model,
-                    members=members,
-                    positions=positions,
-                    buffer_s=buffer_s[positions],
-                    last_levels=last_levels[positions],
-                    scenario_tputs=scenario_tputs[positions],
-                    scenario_probs=scenario_probs[positions],
-                    use_weights=use_weights,
-                    need_rebuffer=need_rebuffer,
-                    levels_out=levels_out,
-                    scores_out=scores_out,
-                    rebuffer_out=rebuffer_out,
-                )
-            )
-        return requests
-
-    #: The stall options of the mergeable (phase-one / no-stall) round.
-    stall_options = (0.0,)
 
     def _gather(self, rows: np.ndarray):
         """Per-session planner inputs for one chunk step — array slices of
@@ -1256,148 +1228,85 @@ class _PlannerDriverBase:
         ).tolist()
         return buffer_s, last_levels, horizons
 
-    #: Subtree groups smaller than this are merged into one masked-union
-    #: call: below it the per-call overhead outweighs the extra (masked-out)
-    #: candidates the union tree evaluates.  The arena kernel's per-call
-    #: dispatch cost dominates any group below a full cache block (a
-    #: masked union call over 295 candidates costs barely more than an
-    #: exact 185-candidate subtree call), so the merge threshold sits at
-    #: one arena block for the widest common shape (5 levels x horizon 4
-    #: x 5 scenarios -> ~23 sessions, :func:`kernel_block_sessions`):
-    #: anything smaller is cheaper evaluated inside the union, and
-    #: oversized unions get re-sliced to the block anyway.  Selection is
-    #: unchanged either way — the mask filters the union tree down to
-    #: each session's exact subtree, ties included.
-    MERGE_BELOW = 24
-
-    #: Kernel calls are capped at this many sessions; larger groups are
-    #: sliced (by the coordinator, after cross-family merging).  The
-    #: kernel's working set per session is a few dozen KB, and once a call
-    #: outgrows the per-core cache its per-session cost jumps several-fold
-    #: — two half-size calls are then cheaper than one.  (The PR 5 kernel
-    #: carries less per-call dispatch overhead than PR 4's, so the sweet
-    #: spot moved up from 8.)
-    SPLIT_ABOVE = 12
-
-    def _plan_groups(
+    def _emit_requests(
         self,
-        live: Sequence[int],
+        rows: np.ndarray,
         horizons: List[int],
         last_levels: np.ndarray,
-        extra_keys: Optional[List[tuple]] = None,
-        split: bool = True,
-        num_scenarios: int = 1,
-    ) -> Dict[tuple, Tuple[Optional[int], List[int]]]:
-        """Kernel-call groups: ``key -> (start_level, positions into live)``.
-
-        Primary grouping is by candidate-tree signature — (horizon, ladder,
-        previously-played level under the ``max_step`` restriction) — which
-        evaluates each group's exact (smallest) subtree.  Groups too small
-        to amortise a kernel call are merged per (horizon, ladder) into one
-        evaluation of the *unrestricted-start* tree with ``start_level ==
-        None``; the kernel then masks each merged session down to its own
-        subtree, which is an order-preserving first-level filter of the
-        union tree, so selection — ties included — matches the per-session
-        tree exactly.
-        """
-        subtree: Dict[tuple, List[int]] = {}
-        for position, index in enumerate(live):
-            start = int(last_levels[position])
-            if self.max_level_step is None or start < 0:
-                start = -1  # one shared tree regardless of history
-            key = (horizons[position], self.ladder_keys[index], start)
-            if extra_keys is not None:
-                key = key + (extra_keys[position],)
-            subtree.setdefault(key, []).append(position)
-        groups: Dict[tuple, Tuple[Optional[int], List[int]]] = {}
-        for key, positions in subtree.items():
-            if len(positions) >= self.MERGE_BELOW:
-                start = key[2]
-                groups[key] = (start if start >= 0 else None, positions)
-            else:
-                merged_key = key[:2] + ("merged",) + key[3:]
-                entry = groups.setdefault(merged_key, (None, []))
-                entry[1].extend(positions)
-        if self.SPLIT_ABOVE is None or not split:
-            # Request emission leaves splitting to the coordinator, which
-            # slices *after* cross-family merging.
-            return groups
-        sliced: Dict[tuple, Tuple[Optional[int], List[int]]] = {}
-        for key, (start, positions) in groups.items():
-            member = live[positions[0]]
-            block = kernel_block_sessions(
-                self.bitrates[member].size, key[0], self.max_level_step,
-                num_scenarios, floor=self.SPLIT_ABOVE,
-            )
-            if len(positions) <= block:
-                sliced[key] = (start, positions)
-                continue
-            slices = -(-len(positions) // block)
-            size = -(-len(positions) // slices)
-            for slice_index in range(slices):
-                chunk = positions[slice_index * size:(slice_index + 1) * size]
-                if chunk:
-                    sliced[key + (slice_index,)] = (start, chunk)
-        return sliced
-
-    def _evaluate_group(
-        self,
-        live: np.ndarray,
-        positions: List[int],
-        horizon: int,
-        start_level: Optional[int],
         buffer_s: np.ndarray,
-        last_levels: np.ndarray,
         scenario_tputs: np.ndarray,
         scenario_probs: np.ndarray,
-        stall_options_s: Sequence[float],
-        use_weights: bool = False,
-        need_expected_rebuffer: bool = True,
-    ):
-        """One batched kernel call for a group sharing a candidate tree."""
-        members = live[positions]
-        chunk = self.shard.step_index
-        bitrates = self.bitrates[members[0]]
-        candidates = enumerate_level_sequences(
-            bitrates.size, horizon, max_step=self.max_level_step,
-            start_level=start_level,
-        )
-        group_last = last_levels[positions]
-        if start_level is not None or self.max_level_step is None:
-            candidate_mask = None  # the tree is already each session's own
-        else:
-            candidate_mask = (group_last[:, None] < 0) | (
-                np.abs(candidates[None, :, 0] - group_last[:, None])
-                <= self.max_level_step
+        out: _PlanOutputs,
+        stall_sets: Optional[List[tuple]] = None,
+        need_rebuffer: bool = False,
+    ) -> List[_PlanRequest]:
+        """One :class:`_PlanRequest` per candidate-tree group of ``rows``.
+
+        ``stall_sets[i]`` is row ``i``'s stall options (the no-stall round
+        by default).  The weights mode is part of the key: merging weighted
+        and unweighted rounds would push the unweighted sessions through
+        the kernel's (costlier) weighted path — bit-identical, but slower
+        than two separate calls.  Zero-padded cells past a shorter video's
+        end (or a narrower ladder) in the shard's matrices are never read:
+        horizons shrink with the chunks remaining and candidate levels stay
+        within the group's ladder.
+        """
+        shard = self.shard
+        chunk = shard.step_index
+        if stall_sets is None:
+            stall_sets = [(0.0,)] * rows.size
+        tail = (scenario_tputs.shape[1], self.coeff_key, self.use_weights)
+        keys = [
+            (horizon, self.ladder_keys[row], last, self.max_level_step,
+             stall_set) + tail
+            for row, horizon, last, stall_set in zip(
+                rows.tolist(), horizons, last_levels.tolist(), stall_sets
             )
-        sizes = self.sizes_all[members, chunk:chunk + horizon]
-        quality = self.quality_all[members, chunk:chunk + horizon]
-        if use_weights:
-            weights = self.weights_all[members, chunk:chunk + horizon]
-        else:
-            weights = _uniform_weights(members.size, horizon)
-        return evaluate_candidates_batch(
-            candidates=candidates,
-            sizes=sizes,
-            quality=quality,
-            weights=weights,
-            buffer_s=buffer_s[positions],
-            last_level=group_last,
-            scenario_tputs=scenario_tputs[positions],
-            scenario_probs=scenario_probs[positions],
-            bitrates_kbps=bitrates,
-            quality_model=self.quality_model,
-            stall_options_s=stall_options_s,
-            chunk_duration_s=(
-                self.chunk_durations
-                if isinstance(self.chunk_durations, float)
-                else self.chunk_durations[members]
-            ),
-            buffer_capacity_s=self.buffer_capacity,
-            candidate_mask=candidate_mask,
-            need_expected_rebuffer=need_expected_rebuffer,
-            weights_uniform=not use_weights,
+        ]
+        durations = self.chunk_durations
+        requests = []
+        for key, (start_level, positions) in _tree_groups(keys).items():
+            positions = np.asarray(positions, dtype=int)
+            members = rows[positions]
+            window = slice(chunk, chunk + key[0])
+            requests.append(
+                _PlanRequest(
+                    key=key,
+                    start_level=start_level,
+                    bitrates=self.bitrates[members[0]],
+                    quality_model=self.quality_model,
+                    positions=positions,
+                    buffer_s=buffer_s[positions],
+                    last_levels=last_levels[positions],
+                    scenario_tputs=scenario_tputs[positions],
+                    scenario_probs=scenario_probs[positions],
+                    sizes=shard.sizes_all[members, window],
+                    quality=shard.quality_all[members, window],
+                    weights=(
+                        shard.weights_all[members, window]
+                        if self.use_weights else None
+                    ),
+                    chunk_duration=(
+                        durations if isinstance(durations, float)
+                        else durations[members]
+                    ),
+                    buffer_capacity=shard.buffer_capacity,
+                    need_rebuffer=need_rebuffer,
+                    out=out,
+                )
+            )
+        return requests
+
+    def begin_round(self, rows: np.ndarray):
+        """The no-stall round: emit its requests, finish with the levels."""
+        scenario_tputs, scenario_probs = self._scenarios(rows)
+        buffer_s, last_levels, horizons = self._gather(rows)
+        out = _PlanOutputs(rows.size)
+        requests = self._emit_requests(
+            rows, horizons, last_levels, buffer_s, scenario_tputs,
+            scenario_probs, out,
         )
+        return requests, lambda: (out.levels, out.stalls)
 
 
 class _MPCDriver(_PlannerDriverBase):
@@ -1408,23 +1317,11 @@ class _MPCDriver(_PlannerDriverBase):
         super().__init__(abr, shard)
         self.predictor = _HarmonicMeanState(abr.predictor)
 
-    def begin_round(self, rows: np.ndarray):
+    def _scenarios(self, rows: np.ndarray):
+        """:meth:`ModelPredictiveABR.plan_scenarios` over the rows."""
         predicted = self.predictor.predict(self._histories(rows))
         conservative = predicted / (1.0 + self.abr.robustness_discount)
-        scenario_tputs = conservative[:, None]
-        scenario_probs = np.ones((rows.size, 1))
-        buffer_s, last_levels, horizons = self._gather(rows)
-        levels = np.zeros(rows.size, dtype=int)
-        requests = self._emit_requests(
-            rows, horizons, last_levels, buffer_s, scenario_tputs,
-            scenario_probs, use_weights=False, need_rebuffer=False,
-            levels_out=levels,
-        )
-
-        def finish() -> Tuple[np.ndarray, np.ndarray]:
-            return levels, np.zeros(rows.size)
-
-        return requests, finish
+        return conservative[:, None], np.ones((rows.size, 1))
 
 
 class _FuguDriver(_PlannerDriverBase):
@@ -1437,157 +1334,82 @@ class _FuguDriver(_PlannerDriverBase):
             abr.predictor, shard.num_sessions
         )
 
-    def begin_round(self, rows: np.ndarray):
-        scenario_tputs, scenario_probs = self.predictor.predict_distribution(
+    def _scenarios(self, rows: np.ndarray):
+        """:meth:`FuguABR.plan_scenarios` over the rows."""
+        return self.predictor.predict_distribution(
             rows, self._histories(rows)
         )
-        buffer_s, last_levels, horizons = self._gather(rows)
-        levels = np.zeros(rows.size, dtype=int)
-        requests = self._emit_requests(
-            rows, horizons, last_levels, buffer_s, scenario_tputs,
-            scenario_probs, use_weights=False, need_rebuffer=False,
-            levels_out=levels,
-        )
-
-        def finish() -> Tuple[np.ndarray, np.ndarray]:
-            return levels, np.zeros(rows.size)
-
-        return requests, finish
 
 
-class _SenseiFuguDriver(_PlannerDriverBase):
-    """Batched :class:`SenseiFuguABR`: weighted objective, two-phase
-    proactive-stall consideration, per-session stall budgets.
+class _SenseiFuguDriver(_FuguDriver):
+    """Batched :class:`SenseiFuguABR`: Fugu's scenarios, the weighted
+    objective, and the ABR's own proactive-stall gate over the live rows.
 
-    Replicates :meth:`SenseiFuguABR.decide` step for step: a no-stall
-    evaluation for every session, then — only for sessions whose stall
-    gate opens (predicted rebuffering, buffer floor, sensitivity shift,
-    remaining budget) — a second evaluation over the budget-allowed stall
-    options, adopted when it strictly beats the no-stall plan.
+    Phase one is the mergeable no-stall round.  Its ``finish`` runs the
+    gate (:meth:`SenseiFuguABR.stall_sets`) on the no-stall plans, re-plans
+    the opened rows over their affordable stall sets — emitted as
+    :class:`_PlanRequest`\\ s keyed by stall set — and lets
+    :meth:`SenseiFuguABR.adopt_stalls` keep strictly better plans and
+    charge each row's stall budget.
     """
+
+    use_weights = True
 
     def __init__(self, abr: SenseiFuguABR, shard: ShardState) -> None:
         super().__init__(abr, shard)
-        self.predictor = _ErrorDistributionState(
-            abr.predictor, shard.num_sessions
-        )
         self.proactive_spent_s = np.zeros(shard.num_sessions)
 
     def begin_round(self, rows: np.ndarray):
         abr = self.abr
-        chunk = self.shard.step_index
-        scenario_tputs, scenario_probs = self.predictor.predict_distribution(
-            rows, self._histories(rows)
-        )
+        shard = self.shard
+        scenario_tputs, scenario_probs = self._scenarios(rows)
         buffer_s, last_levels, horizons = self._gather(rows)
-
-        count = rows.size
-        # Pre-gates of the stall consideration that do not depend on the
-        # plan evaluation: buffer floor, per-session budget, weight shift.
-        # When no live session passes them, phase one can skip its
-        # rebuffer-expectation work — the gate is closed regardless (the
-        # common steady state once a session's stall budget is spent).
         spent = self.proactive_spent_s[rows]
-        if len(abr.stall_options_s) > 1:
-            pre_gate = (buffer_s >= abr.min_stall_buffer_s) & (
-                spent < abr.max_total_proactive_stall_s
+        chunk = shard.step_index
+        width = max(horizons)
+        weights = shard.weights_all[rows, chunk:chunk + width]
+        if min(horizons) < width:
+            # Ragged horizons: hide the weights past each row's own.
+            weights = np.where(
+                np.arange(width) < np.asarray(horizons)[:, None],
+                weights, -np.inf,
             )
-            # Weight-shift gate, vectorised per distinct horizon: a stall
-            # only helps when some upcoming chunk is meaningfully more
-            # sensitive than the next one (same comparison as the scalar
-            # decide(), batched over equal-width weight windows).
-            candidates_mask = pre_gate.copy()
-            pre_gate[:] = False
-            horizon_arr = np.asarray(horizons)
-            for span in np.unique(horizon_arr[candidates_mask]):
-                if span <= 1:
-                    continue
-                group = np.flatnonzero(candidates_mask & (horizon_arr == span))
-                ahead = self.weights_all[
-                    rows[group][:, None],
-                    chunk + 1 + np.arange(span - 1)[None, :],
-                ]
-                first = self.weights_all[rows[group], chunk]
-                pre_gate[group] = ahead.max(axis=1) > first * 1.05
-        else:
-            pre_gate = np.zeros(count, dtype=bool)
-        need_rebuffer = bool(np.any(pre_gate))
-
-        levels = np.zeros(count, dtype=int)
-        scores = np.zeros(count)
-        rebuffer = np.zeros(count)
+        pre_gate = abr.stall_pre_gate(buffer_s, spent, weights)
+        no_stall = _PlanOutputs(rows.size)
+        # When no row passes the plan-independent half of the gate, the
+        # no-stall round skips its rebuffer-expectation work.
         requests = self._emit_requests(
             rows, horizons, last_levels, buffer_s, scenario_tputs,
-            scenario_probs, use_weights=True, need_rebuffer=need_rebuffer,
-            levels_out=levels, scores_out=scores, rebuffer_out=rebuffer,
+            scenario_probs, no_stall, need_rebuffer=bool(pre_gate.any()),
         )
 
         def finish() -> Tuple[np.ndarray, np.ndarray]:
-            return self._consider_stalls(
-                rows, horizons, last_levels, buffer_s, scenario_tputs,
-                scenario_probs, spent, pre_gate, levels, scores, rebuffer,
+            opened, stall_sets = abr.stall_sets(
+                pre_gate, no_stall.rebuffer, spent
             )
+            with_stalls = _PlanOutputs(opened.size)
+            if opened.size:
+                with trace_span("engine.lockstep.plan"):
+                    _execute_plan_requests(self._emit_requests(
+                        rows[opened], [horizons[p] for p in opened],
+                        last_levels[opened], buffer_s[opened],
+                        scenario_tputs[opened], scenario_probs[opened],
+                        with_stalls, stall_sets=stall_sets,
+                    ))
+            levels, stalls = abr.adopt_stalls(
+                spent,
+                (no_stall.levels, no_stall.stalls, no_stall.scores),
+                opened,
+                (with_stalls.levels, with_stalls.stalls, with_stalls.scores),
+            )
+            self.proactive_spent_s[rows] = spent
+            return levels, stalls
 
         return requests, finish
 
-    def _consider_stalls(
-        self, rows, horizons, last_levels, buffer_s, scenario_tputs,
-        scenario_probs, spent, pre_gate, levels, scores, rebuffer,
-    ) -> Tuple[np.ndarray, np.ndarray]:
-        """Phase two, after the no-stall round: re-plan the gated sessions
-        over their budget-allowed stall options (exactly as the scalar
-        decide() does), adopt strictly-better plans, track budgets."""
-        abr = self.abr
-        count = rows.size
-        stalls = np.zeros(count)
-        # The full stall gate, exactly as the scalar decide() applies it.
-        plausible = pre_gate & (rebuffer >= abr.stall_risk_threshold_s)
 
-        if np.any(plausible):
-            allowed_keys: List[tuple] = [()] * count
-            for position in np.flatnonzero(plausible):
-                remaining = abr.max_total_proactive_stall_s - spent[position]
-                allowed_keys[position] = tuple(
-                    option
-                    for option in abr.stall_options_s
-                    if option <= remaining + 1e-9
-                )
-            plausible_positions = [
-                int(position) for position in np.flatnonzero(plausible)
-            ]
-            sub_rows = rows[plausible_positions]
-            groups = self._plan_groups(
-                sub_rows,
-                [horizons[position] for position in plausible_positions],
-                last_levels[plausible_positions],
-                extra_keys=[
-                    allowed_keys[position] for position in plausible_positions
-                ],
-                num_scenarios=scenario_tputs.shape[1],
-            )
-            for key, (start_level, sub_positions) in groups.items():
-                positions = [
-                    plausible_positions[sub_position]
-                    for sub_position in sub_positions
-                ]
-                batch = self._evaluate_group(
-                    rows, positions, key[0], start_level, buffer_s,
-                    last_levels, scenario_tputs, scenario_probs,
-                    stall_options_s=key[3], use_weights=True,
-                    need_expected_rebuffer=False,
-                )
-                better = batch.best_score > scores[positions]
-                levels[positions] = np.where(
-                    better, batch.best_level, levels[positions]
-                )
-                stalls[positions] = np.where(
-                    better, batch.best_stall_s, stalls[positions]
-                )
-                scores[positions] = np.where(
-                    better, batch.best_score, scores[positions]
-                )
-
-        stalling = stalls > 0
-        if np.any(stalling):
-            self.proactive_spent_s[rows[stalling]] += stalls[stalling]
-        return levels, stalls
+_PLANNER_DRIVERS = {
+    KIND_MPC: _MPCDriver,
+    KIND_FUGU: _FuguDriver,
+    KIND_SENSEI: _SenseiFuguDriver,
+}

@@ -1,8 +1,8 @@
 """Batched online decisions, bit-identical to the serial ABR paths.
 
 :func:`decide_batch` answers one micro-batch flush: every planner-eligible
-request (MPC / Fugu / SENSEI-Fugu with their stock predictors — the same
-exact-type test as the lockstep engine's ``_driver_for``) contributes a
+request (MPC / Fugu / SENSEI-Fugu with their stock predictors, as
+classified by :func:`repro.engine.lockstep.planner_kind`) contributes a
 :class:`~repro.engine.lockstep.PlanJob` to one
 :func:`~repro.engine.lockstep.plan_batch` call, which merges jobs by
 candidate-tree signature and dispatches the shared
@@ -16,21 +16,17 @@ because the actor's matmuls are row-stable
 (:func:`repro.ml.nn.row_matmul`).  Everything else falls back to the
 clone's own ``decide`` — still exact, just not batched.
 
-Bit-identity invariants, each load-bearing:
+This module only groups requests; the decision logic is the ABRs' own:
 
-* Predictor calls happen on the session's clone, in request order, with
-  the same observation the serial path would see — ``predict`` /
-  ``predict_distribution`` run **exactly once per decision** (the error
-  distribution predictor is stateful).
-* Scenario construction replicates the serial ``decide`` bodies
-  verbatim: MPC's single conservative scenario
-  ``predicted / (1 + robustness_discount)``; Fugu's full distribution.
-* SENSEI-Fugu's two-phase shape is replicated: phase 1 evaluates with
-  ``stall_options=(0.0,)`` and weights; the stall gate (risk threshold,
-  buffer floor, 5% weight-shift test, remaining proactive budget) decides
-  which sessions get a phase-2 evaluation over the affordable stall
-  options; phase 2's plan is adopted only when its score is *strictly*
-  better.  Both phases are themselves batched ``plan_batch`` calls.
+* Each clone's ``plan_scenarios`` builds its scenario list — the very
+  method its serial ``decide`` calls, run **exactly once per decision**
+  on the session's clone, in request order (the error-distribution
+  predictor is stateful).
+* SENSEI-Fugu requests run the clone's own proactive-stall gate
+  (:meth:`~repro.core.sensei_abr.SenseiFuguABR.stall_pre_gate`,
+  ``stall_sets``, ``adopt_stalls``) with one session each: the no-stall
+  plans of every session come from one ``plan_batch`` call, the re-plans
+  of the sessions whose gate opened from a second.
 * The kernel guarantees the rest: ``evaluate_candidates_batch`` is
   elementwise over the batch axis, so co-scheduling any mix of sessions
   cannot change any single session's floats (docs/PERFORMANCE.md).
@@ -49,15 +45,25 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.abr.base import ABRAlgorithm, Decision, PlayerObservation
-from repro.engine.lockstep import PlanJob, plan_batch
-from repro.service.sessions import (
+from repro.engine.lockstep import (
     KIND_GENERIC,
-    KIND_MPC,
     KIND_RL,
     KIND_SENSEI,
+    PlanJob,
+    plan_batch,
 )
 
 __all__ = ["decide_batch"]
+
+
+def _outcomes(results) -> Tuple[list, list, list]:
+    """``(levels, stalls, scores)`` of plan results, as the SENSEI gate
+    reads them."""
+    return (
+        [result.level for result in results],
+        [result.proactive_stall_s for result in results],
+        [result.score for result in results],
+    )
 
 
 def decide_batch(
@@ -71,8 +77,8 @@ def decide_batch(
     """
     decisions: List[Optional[Decision]] = [None] * len(requests)
     jobs: List[PlanJob] = []
-    # (request index, clone, kind, observation, horizon, scenarios)
-    meta: List[Tuple[int, ABRAlgorithm, str, PlayerObservation, int, list]] = []
+    # (request index, clone, job, scenarios, SENSEI pre-gate or None)
+    meta: list = []
     # agent id -> (agent, [(request index, clone, observation, state)])
     rl_groups: dict = {}
     for index, (clone, kind, observation) in enumerate(requests):
@@ -87,39 +93,25 @@ def decide_batch(
             )
             continue
         horizon = min(clone.horizon, observation.horizon)
-        if kind == KIND_MPC:
-            predicted = clone.predictor.predict(observation)
-            conservative = predicted / (1.0 + clone.robustness_discount)
-            scenarios = [(conservative, 1.0)]
-            jobs.append(PlanJob(
-                observation=observation,
-                horizon=horizon,
-                scenarios=scenarios,
-                quality_model=clone.quality_model,
-                max_level_step=clone.max_level_step,
-            ))
-        elif kind == KIND_SENSEI:
-            scenarios = clone.predictor.predict_distribution(observation)
-            jobs.append(PlanJob(
-                observation=observation,
-                horizon=horizon,
-                scenarios=scenarios,
-                quality_model=clone.quality_model,
-                stall_options=(0.0,),
-                max_level_step=clone.max_level_step,
-                use_weights=True,
-                need_rebuffer=True,
-            ))
-        else:  # KIND_FUGU
-            scenarios = clone.predictor.predict_distribution(observation)
-            jobs.append(PlanJob(
-                observation=observation,
-                horizon=horizon,
-                scenarios=scenarios,
-                quality_model=clone.quality_model,
-                max_level_step=clone.max_level_step,
-            ))
-        meta.append((index, clone, kind, observation, horizon, scenarios))
+        pre_gate = None
+        if kind == KIND_SENSEI:
+            pre_gate = clone.stall_pre_gate(
+                np.array([observation.buffer_s]),
+                clone.proactive_spent_s,
+                observation.upcoming_weights[None, :horizon],
+            )
+        scenarios = clone.plan_scenarios(observation)
+        job = PlanJob(
+            observation=observation,
+            horizon=horizon,
+            scenarios=scenarios,
+            quality_model=clone.quality_model,
+            max_level_step=clone.max_level_step,
+            use_weights=pre_gate is not None,
+            need_rebuffer=pre_gate is not None and bool(pre_gate[0]),
+        )
+        jobs.append(job)
+        meta.append((index, clone, job, scenarios, pre_gate))
 
     # One stacked actor forward per distinct policy, then a per-row argmax
     # — exactly ``select_action(state, greedy=True)`` for each row, since
@@ -142,71 +134,44 @@ def decide_batch(
             decisions[index] = decision
 
     if not jobs:
-        return [decision for decision in decisions]  # all planned
-
-    results = plan_batch(jobs)
+        return decisions
 
     # Phase 2: SENSEI sessions whose stall gate opened re-plan over the
-    # stall options still affordable within their proactive budget.
+    # stall options their budget still affords.
+    sensei: list = []
     second_jobs: List[PlanJob] = []
-    second_meta: List[Tuple[int, ABRAlgorithm, object]] = []
-    for (index, clone, kind, observation, horizon, scenarios), result in zip(
-        meta, results
+    for (index, clone, job, scenarios, pre_gate), result in zip(
+        meta, plan_batch(jobs)
     ):
-        if kind != KIND_SENSEI:
+        if pre_gate is None:
             decisions[index] = Decision(level=result.level)
             continue
-        weights_ahead = observation.upcoming_weights[:horizon]
-        shifting_helps = bool(
-            weights_ahead.size > 1
-            and float(np.max(weights_ahead[1:]))
-            > float(weights_ahead[0]) * 1.05
+        opened, stall_sets = clone.stall_sets(
+            pre_gate, np.array([result.expected_rebuffer_s]),
+            clone.proactive_spent_s,
         )
-        consider_stall = (
-            result.expected_rebuffer_s >= clone.stall_risk_threshold_s
-            and observation.buffer_s >= clone.min_stall_buffer_s
-            and shifting_helps
-            and clone._proactive_spent_s < clone.max_total_proactive_stall_s
-            and len(clone.stall_options_s) > 1
-        )
-        if not consider_stall:
-            if result.proactive_stall_s > 0:
-                clone._proactive_spent_s += result.proactive_stall_s
-            decisions[index] = Decision(
-                level=result.level,
-                proactive_stall_s=result.proactive_stall_s,
+        sensei.append((index, clone, result, opened, len(second_jobs)))
+        second_jobs.extend(
+            PlanJob(
+                observation=job.observation,
+                horizon=job.horizon,
+                scenarios=scenarios,
+                quality_model=clone.quality_model,
+                stall_options=stall_set,
+                max_level_step=clone.max_level_step,
+                use_weights=True,
             )
-            continue
-        remaining = clone.max_total_proactive_stall_s - clone._proactive_spent_s
-        allowed = tuple(
-            option for option in clone.stall_options_s
-            if option <= remaining + 1e-9
+            for stall_set in stall_sets
         )
-        second_jobs.append(PlanJob(
-            observation=observation,
-            horizon=horizon,
-            scenarios=scenarios,
-            quality_model=clone.quality_model,
-            stall_options=allowed,
-            max_level_step=clone.max_level_step,
-            use_weights=True,
-        ))
-        second_meta.append((index, clone, result))
-
-    if second_jobs:
-        for (index, clone, phase_one), with_stalls in zip(
-            second_meta, plan_batch(second_jobs)
-        ):
-            # Strictly better, exactly like the serial gate: ties keep the
-            # no-stall plan.
-            if with_stalls.score > phase_one.score:
-                level = with_stalls.level
-                stall_s = with_stalls.proactive_stall_s
-            else:
-                level = phase_one.level
-                stall_s = phase_one.proactive_stall_s
-            if stall_s > 0:
-                clone._proactive_spent_s += stall_s
-            decisions[index] = Decision(level=level, proactive_stall_s=stall_s)
-
-    return [decision for decision in decisions]
+    second = plan_batch(second_jobs)
+    for index, clone, result, opened, first in sensei:
+        levels, stalls = clone.adopt_stalls(
+            clone.proactive_spent_s,
+            _outcomes([result]),
+            opened,
+            _outcomes(second[first:first + opened.size]),
+        )
+        decisions[index] = Decision(
+            level=int(levels[0]), proactive_stall_s=float(stalls[0])
+        )
+    return decisions

@@ -25,8 +25,8 @@ from repro.abr.mpc import ModelPredictiveABR
 from repro.abr.pensieve import PensieveABR, PensieveConfig, PensieveTrainer
 from repro.abr.rate import RateBasedABR
 from repro.core.sensei_abr import SenseiFuguABR, make_sensei_pensieve
+from repro.engine import lockstep as lockstep_module
 from repro.engine.lockstep import (
-    _PlannerDriverBase,
     order_supports_lockstep,
     run_orders_lockstep,
     supports_lockstep,
@@ -182,11 +182,45 @@ class TestLockstepEquivalence:
         reference = BatchRunner(backend="serial").run_orders(orders)
         for merge, split in [(1, None), (1000, 2), (4, 8)]:
             with mock.patch.object(
-                _PlannerDriverBase, "MERGE_BELOW", merge
-            ), mock.patch.object(_PlannerDriverBase, "SPLIT_ABOVE", split):
+                lockstep_module, "MERGE_BELOW", merge
+            ), mock.patch.object(lockstep_module, "SPLIT_ABOVE", split):
                 results = run_orders_lockstep(orders)
             for left, right in zip(reference, results):
                 assert_results_identical(left, right)
+
+    def test_one_classifier_for_engine_and_service(self, ragged_grid):
+        """``planner_kind`` picks both the lockstep driver and the
+        service's decide path; only the service sends exploring RL
+        policies to the generic path."""
+        from repro.player.session import StreamingSession
+        from repro.player.shard import ShardState
+        from repro.service import planner_kind as service_kind
+
+        class CustomFugu(FuguABR):
+            pass
+
+        videos, traces, _ = ragged_grid
+        cases = [
+            (ModelPredictiveABR(), "mpc", "_MPCDriver"),
+            (FuguABR(), "fugu", "_FuguDriver"),
+            (SenseiFuguABR(), "sensei", "_SenseiFuguDriver"),
+            (PensieveABR(config=PensieveConfig(seed=3)), "rl", "_RLDriver"),
+            (FuguABR(use_fast_planner=False), "generic", "_PerSessionDriver"),
+            (CustomFugu(), "generic", "_PerSessionDriver"),
+            (RateBasedABR(), "generic", "_PerSessionDriver"),
+        ]
+        for abr, kind, driver in cases:
+            shard = ShardState([
+                StreamingSession(encoded=videos[0], trace=traces[0], abr=abr)
+            ])
+            assert lockstep_module.planner_kind(abr) == kind
+            assert service_kind(abr) == kind
+            assert type(
+                lockstep_module._driver_for(abr, shard)
+            ).__name__ == driver
+        explorer = PensieveABR(config=PensieveConfig(seed=3), greedy=False)
+        assert lockstep_module.planner_kind(explorer) == "rl"
+        assert service_kind(explorer) == "generic"
 
     def test_exploring_rl_policy_falls_back_to_serial_execution(
         self, ragged_grid

@@ -456,3 +456,136 @@ class TestOnlineOfflineIdentity:
         degraded, verdict = asyncio.run(scenario())
         assert degraded.degraded is True
         assert verdict["checked"] == 0  # divergence point documented out
+
+
+# ------------------------------------------------ SENSEI gate differential
+
+
+def _sensei_contrast_grid():
+    """Ragged videos (80/120/48 s) x three traces, with sharply contrasted
+    weights (every 4th chunk 3.0, the rest 0.4) so the stall gate opens."""
+    from repro.network.bank import TraceBank
+    from repro.video.chunk import DEFAULT_LADDER
+    from repro.video.encoder import SyntheticEncoder
+    from repro.video.video import SourceVideo
+
+    videos = []
+    for video_id, genre, duration_s, seed in [
+        ("lk-sports", "sports", 80.0, 21),
+        ("lk-nature", "nature", 120.0, 22),
+        ("lk-game", "gaming", 48.0, 23),
+    ]:
+        source = SourceVideo.synthesize(
+            video_id, genre, duration_s=duration_s, chunk_duration_s=4.0,
+            seed=seed,
+        )
+        videos.append(
+            SyntheticEncoder(seed=seed + 10).encode(source, DEFAULT_LADDER)
+        )
+    traces = TraceBank(num_traces=3, duration_s=400.0, seed=41).traces()
+    weights = {
+        video.source.video_id: np.where(
+            np.arange(video.num_chunks) % 4 == 0, 3.0, 0.4
+        )
+        for video in videos
+    }
+    return videos, traces, weights
+
+
+def _same_result(left, right):
+    return (
+        np.array_equal(left.rendered.levels, right.rendered.levels)
+        and np.array_equal(left.rendered.stalls_s, right.rendered.stalls_s)
+        and left.rendered.startup_delay_s == right.rendered.startup_delay_s
+        and left.total_bytes == right.total_bytes
+        and left.session_duration_s == right.session_duration_s
+        and [
+            (s.cause, s.chunk_index, s.start_time_s, s.duration_s)
+            for s in left.timeline.stalls
+        ] == [
+            (s.cause, s.chunk_index, s.start_time_s, s.duration_s)
+            for s in right.timeline.stalls
+        ]
+    )
+
+
+#: SENSEI-Fugu configurations whose stall gate must decide identically on
+#: every path, with whether the configuration can schedule a stall at all.
+SENSEI_GATE_CONFIGS = {
+    "default": ({}, True),
+    "bitrate-only": ({"stall_options_s": (0.0,)}, False),
+    "budget-runs-out": (
+        {
+            "max_total_proactive_stall_s": 1.0,
+            "stall_risk_threshold_s": 0.0,
+            "min_stall_buffer_s": 0.0,
+        },
+        True,
+    ),
+    "fine-stalls": ({"stall_options_s": (0.0, 0.5, 1.0, 2.0)}, True),
+    # After one 1 s stall no option fits the remaining 0.5 s: the gate
+    # must close instead of planning over an empty stall set.
+    "no-affordable-stall": (
+        {
+            "stall_options_s": (1.0, 2.0),
+            "max_total_proactive_stall_s": 1.5,
+            "stall_risk_threshold_s": 0.0,
+            "min_stall_buffer_s": 0.0,
+        },
+        True,
+    ),
+}
+
+
+class TestSenseiGateDifferential:
+    """Serial, lockstep and the decision service run one stall gate: for
+    every configuration their SENSEI-Fugu sessions match bit for bit."""
+
+    @pytest.fixture(scope="class")
+    def grid(self):
+        return _sensei_contrast_grid()
+
+    @pytest.mark.parametrize("name", list(SENSEI_GATE_CONFIGS))
+    def test_three_paths_bit_identical(self, grid, name):
+        from repro.core.sensei_abr import SenseiFuguABR
+        from repro.engine.runner import BatchRunner, orders_for_grid
+
+        params, can_stall = SENSEI_GATE_CONFIGS[name]
+        videos, traces, weights = grid
+        abr = SenseiFuguABR(**params)
+        orders = [
+            order for _, order in orders_for_grid(
+                [abr], videos, traces, weights_by_video=weights
+            )
+        ]
+        serial = BatchRunner(backend="serial").run_orders(orders)
+        lockstep = BatchRunner(backend="lockstep").run_orders(orders)
+
+        async def scenario():
+            service = DecisionService(
+                max_batch=len(orders), max_delay_s=0.002,
+                capacity=len(orders), shed_timeout_s=None,
+            )
+            entries = [
+                service.register(
+                    tenant="t", session_id=f"s{index}", abr=order.abr,
+                    encoded=order.encoded, trace=order.trace,
+                    chunk_weights=order.chunk_weights,
+                )
+                for index, order in enumerate(orders)
+            ]
+            report = await run_load(service, entries)
+            await service.close()
+            return entries, report
+
+        entries, report = asyncio.run(scenario())
+        assert report["degraded"] == 0
+        assert {entry.kind for entry in entries} == {"sensei"}
+        online = [entry.result for entry in entries]
+        for reference, stepped, served in zip(serial, lockstep, online):
+            assert _same_result(reference, stepped)
+            assert _same_result(reference, served)
+        stalled = sum(
+            result.timeline.proactive_stall_count() for result in serial
+        )
+        assert (stalled > 0) == can_stall
